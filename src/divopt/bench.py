@@ -9,10 +9,12 @@ A bench spec is a JSON object:
     "oracle": true
   }
 
-Paths are resolved relative to the spec file.  "p" is required for metric
-instances, "bonus" (a submodular-spec file) for diversification and for the
-submodular selection solver.  Deterministic algorithms run once regardless of
-the seed list; oracle values are brute-force optima cached per instance.
+Paths are resolved relative to the spec file.  "p" (an integer) is required
+for metric instances, "bonus" (a submodular-spec file) for diversification
+and for the submodular selection solver.  "params" holds the solver's keyword
+options; unknown keys are rejected before anything runs.  Deterministic
+algorithms run once regardless of the seed list; oracle values are
+brute-force optima cached per instance.
 """
 
 from __future__ import annotations
@@ -169,21 +171,53 @@ def _run_brute_dks_additive(b, eps, params, rng):
     return brute_force_subdks(b.dks(), None)[1]
 
 
-# name -> (runner, needs_epsilon, deterministic, oracle_name)
+_BALL = frozenset({"inner_mode", "enum_cap", "inner_gamma", "exact_budget"})
+_DKS = frozenset({"s", "t", "mode", "enum_cap", "exact_budget"})
+_DCG = frozenset({"u", "gamma", "eta", "trials", "prefix_cap", "max_cut_rounds"})
+_NONE = frozenset()
+
+# name -> (runner, needs_epsilon, deterministic, oracle_name, accepted params)
 REGISTRY = {
-    "ptas-dcg": (_run_ptas_dcg, True, False, "brute-dcg"),
-    "brute-dcg": (_run_brute_dcg, False, True, None),
-    "qptas-dispersion": (_run_qptas_dispersion, True, False, "brute-dispersion"),
-    "greedy-dispersion": (_run_greedy_dispersion, False, True, "brute-dispersion"),
-    "brute-dispersion": (_run_brute_dispersion, False, True, None),
-    "diversify": (_run_diversify, True, False, "brute-diversification"),
-    "greedy-diversification": (_run_greedy_diversification, False, True, "brute-diversification"),
-    "brute-diversification": (_run_brute_diversification, False, True, None),
-    "submodular-dks": (_run_submodular_dks, True, False, "brute-dks"),
-    "dks-additive": (_run_dks_additive, True, False, "brute-dks-additive"),
-    "brute-dks": (_run_brute_dks, False, True, None),
-    "brute-dks-additive": (_run_brute_dks_additive, False, True, None),
+    "ptas-dcg": (_run_ptas_dcg, True, False, "brute-dcg", _DCG),
+    "brute-dcg": (_run_brute_dcg, False, True, None, _NONE),
+    "qptas-dispersion": (_run_qptas_dispersion, True, False, "brute-dispersion", _BALL),
+    "greedy-dispersion": (_run_greedy_dispersion, False, True, "brute-dispersion", _NONE),
+    "brute-dispersion": (_run_brute_dispersion, False, True, None, _NONE),
+    "diversify": (_run_diversify, True, False, "brute-diversification", _BALL),
+    "greedy-diversification": (
+        _run_greedy_diversification, False, True, "brute-diversification", _NONE
+    ),
+    "brute-diversification": (_run_brute_diversification, False, True, None, _NONE),
+    "submodular-dks": (_run_submodular_dks, True, False, "brute-dks", _DKS),
+    "dks-additive": (_run_dks_additive, True, False, "brute-dks-additive", _DKS),
+    "brute-dks": (_run_brute_dks, False, True, None, _NONE),
+    "brute-dks-additive": (_run_brute_dks_additive, False, True, None, _NONE),
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_algorithm(algo) -> None:
+    """Reject a malformed algorithm entry before anything runs."""
+    if not isinstance(algo, dict) or "name" not in algo:
+        raise InstanceError("bench spec: each algorithm entry needs \"name\"")
+    name = algo["name"]
+    if not isinstance(name, str) or name not in REGISTRY:
+        raise InstanceError(f"unknown algorithm {name!r}")
+    _, needs_eps, _, _, accepted = REGISTRY[name]
+    eps = algo.get("epsilon")
+    if needs_eps and eps is None:
+        raise InstanceError(f"algorithm {name!r} needs \"epsilon\"")
+    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
+        raise InstanceError(f"algorithm {name!r}: \"epsilon\" must be a number")
+    params = algo.get("params", {})
+    if not isinstance(params, dict):
+        raise InstanceError(f"algorithm {name!r}: \"params\" must be an object")
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise InstanceError(f"algorithm {name!r}: unknown \"params\" key(s) {unknown}")
 
 
 def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
@@ -199,6 +233,8 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
         if entry.get("bonus"):
             bonus = load_instance(base_dir / entry["bonus"])
         p = entry.get("p")
+        if p is not None and not _is_int(p):
+            raise InstanceError(f"instances[{idx}]: \"p\" must be an integer")
         bundles.append(_Bundle(str(entry["id"]), obj, p=p, bonus=bonus))
     return bundles
 
@@ -209,9 +245,13 @@ def run_bench(spec: dict, base_dir) -> BenchReport:
     algos = spec.get("algorithms")
     if not isinstance(algos, list) or not algos:
         raise InstanceError("bench spec: \"algorithms\" must be a non-empty list")
+    for algo in algos:
+        _check_algorithm(algo)
     seeds = spec.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise InstanceError("bench spec: \"seeds\" must be a non-empty list")
+    if not all(_is_int(seed) for seed in seeds):
+        raise InstanceError("bench spec: \"seeds\" must hold integers")
     want_oracle = bool(spec.get("oracle", False))
 
     oracle_cache: dict[tuple, float] = {}
@@ -226,15 +266,8 @@ def run_bench(spec: dict, base_dir) -> BenchReport:
     records = []
     for bundle in bundles:
         for algo in algos:
-            if not isinstance(algo, dict) or "name" not in algo:
-                raise InstanceError("bench spec: each algorithm entry needs \"name\"")
-            name = algo["name"]
-            if name not in REGISTRY:
-                raise InstanceError(f"unknown algorithm {name!r}")
-            runner, needs_eps, deterministic, oracle_name = REGISTRY[name]
-            eps = algo.get("epsilon")
-            if needs_eps and eps is None:
-                raise InstanceError(f"algorithm {name!r} needs \"epsilon\"")
+            name, eps = algo["name"], algo.get("epsilon")
+            runner, _, deterministic, oracle_name, _ = REGISTRY[name]
             params = dict(algo.get("params", {}))
             run_seeds = seeds[:1] if deterministic else seeds
             for seed in run_seeds:

@@ -80,6 +80,20 @@ def _build_parser() -> _Parser:
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
 
+    # Shared flags live in parents; argparse lists parent flags first, so --in,
+    # --bonus and the scheme flags are separate parents to keep the help order.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--in", dest="infile", required=True)
+    bonus = argparse.ArgumentParser(add_help=False)
+    bonus.add_argument("--bonus", required=True, help="submodular spec file")
+    ball = argparse.ArgumentParser(add_help=False)
+    ball.add_argument("--p", type=int, required=True)
+    ball.add_argument("--epsilon", type=float, required=True)
+    ball.add_argument("--inner", choices=("exact", "scheme"), default="exact")
+    ball.add_argument("--enum-cap", type=int, default=200_000)
+    ball.add_argument("--inner-gamma", type=float, default=None)
+    ball.add_argument("--exact-budget", type=int, default=1_000_000)
+
     parser = _Parser(prog="divopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -107,12 +121,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--forced-count", type=int, default=0)
     p.add_argument("--sub-kind", choices=("modular", "coverage"), default="modular")
 
-    p = sub.add_parser("convert", parents=[common], help="apply a reduction to a file")
+    p = sub.add_parser("convert", parents=[common, source], help="apply a reduction to a file")
     p.add_argument("reduction", choices=("dks-to-dispersion", "coverage-to-dcg"))
-    p.add_argument("--in", dest="infile", required=True)
 
-    p = sub.add_parser("solve-dcg", parents=[common], help="prefix + LP rounding ranking")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("solve-dcg", parents=[common, source], help="prefix + LP rounding ranking")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--u", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -122,29 +134,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-cut-rounds", type=int, default=80)
     p.add_argument("--dump-lp", default=None, help="also write the cut-LP solution here")
 
-    p = sub.add_parser("solve-dispersion", parents=[common], help="ball-decomposition dispersion")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--inner", choices=("exact", "scheme"), default="exact")
-    p.add_argument("--enum-cap", type=int, default=200_000)
-    p.add_argument("--inner-gamma", type=float, default=None)
-    p.add_argument("--exact-budget", type=int, default=1_000_000)
-
-    p = sub.add_parser(
-        "solve-diversification", parents=[common], help="dispersion plus submodular bonus"
+    sub.add_parser(
+        "solve-dispersion", parents=[common, source, ball], help="ball-decomposition dispersion"
     )
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bonus", required=True, help="submodular spec file")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--inner", choices=("exact", "scheme"), default="exact")
-    p.add_argument("--enum-cap", type=int, default=200_000)
-    p.add_argument("--inner-gamma", type=float, default=None)
-    p.add_argument("--exact-budget", type=int, default=1_000_000)
+    sub.add_parser(
+        "solve-diversification",
+        parents=[common, source, bonus, ball],
+        help="dispersion plus submodular bonus",
+    )
 
-    p = sub.add_parser("solve-dks", parents=[common], help="dense subgraph selection")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("solve-dks", parents=[common, source], help="dense subgraph selection")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--bonus", default=None, help="optional submodular spec file")
     p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
@@ -153,14 +152,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--enum-cap", type=int, default=200_000)
     p.add_argument("--exact-budget", type=int, default=1_000_000)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force optimum of a file")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("oracle", parents=[common, source], help="brute-force optimum of a file")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--bonus", default=None)
     p.add_argument("--guard", type=int, default=None)
 
-    p = sub.add_parser("check", parents=[common], help="validate a file, optionally a lemma")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser(
+        "check", parents=[common, source], help="validate a file, optionally a lemma"
+    )
     p.add_argument("--selection", default=None, help="comma-separated point ids")
     p.add_argument("--bonus", default=None)
 

@@ -24,8 +24,9 @@ from .core import (
     RngState,
     disp,
     disp_cross,
+    dive,
 )
-from .dks import dks_additive
+from . import dks
 
 __all__ = [
     "PairInadmissible",
@@ -101,13 +102,13 @@ def build_dks_from_ball(
     W = np.minimum(1.0, 0.5 * sub / delta_star)
     np.fill_diagonal(W, 0.0)
     local = {g: i for i, g in enumerate(nodes)}
-    dks = DksInstance(
+    reduced = DksInstance(
         n=len(nodes),
         weights=W,
         forced=frozenset(local[g] for g in ring),
         k=k,
     )
-    return dks, BallDecomposition(u, v, delta, delta_star, nodes, ring, outside, k)
+    return reduced, BallDecomposition(u, v, delta, delta_star, nodes, ring, outside, k)
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,12 @@ def check_structural_lemma(inst: MetricInstance, p: int, Sopt) -> LemmaCheck:
     lowest index).  On an optimal S the ratio is provably >= 1; witnesses at
     distance zero count as infinitely safe.
     """
+    return _lemma_ratio(inst, int(p), Sopt, lambda S: disp(S, inst))
+
+
+def _lemma_ratio(inst: MetricInstance, p: int, Sopt, objective) -> LemmaCheck:
+    """Structural ratio with ``objective(S)`` as the numerator."""
     S = sorted(set(int(x) for x in Sopt))
-    p = int(p)
     if len(S) != p or p < 2:
         raise InstanceError("Sopt must have exactly p >= 2 distinct points")
     if p == inst.n:
@@ -135,7 +140,7 @@ def check_structural_lemma(inst: MetricInstance, p: int, Sopt) -> LemmaCheck:
         val = disp_cross([cand], S, inst)
         if val < best:
             u_min, best = cand, val
-    base = disp(S, inst)
+    base = objective(S)
     ratio, witness = math.inf, None
     members = set(S)
     for v in range(inst.n):
@@ -154,12 +159,6 @@ class DispersionResult:
     value: float
     origin: str
     diagnostics: dict = field(default_factory=dict)
-
-
-def _ordered_pairs(inst: MetricInstance):
-    pairs = [(u, v) for u in range(inst.n) for v in range(inst.n) if u != v]
-    pairs.sort(key=lambda uv: (-inst.dist[uv[0], uv[1]], uv[0], uv[1]))
-    return pairs
 
 
 def qptas_dispersion(
@@ -181,14 +180,35 @@ def qptas_dispersion(
     best candidate, or the pair-greedy baseline when that is strictly better
     or no pair is admissible.
     """
+    sel, val, origin, diagnostics = _ball_scheme(
+        inst, p, epsilon, rng, None, lambda: greedy_dispersion(inst, p), inner_gamma,
+        mode=inner_mode, enum_cap=enum_cap, exact_budget=exact_budget,
+    )
+    return DispersionResult(sel, val, origin, diagnostics)
+
+
+def _ball_scheme(
+    inst: MetricInstance, p: int, epsilon: float, rng: RngState, oracle, greedy,
+    inner_gamma: float | None, **inner,
+) -> tuple[tuple, float, str, dict]:
+    """The pair loop of both schemes: maximize disp + oracle (None means f = 0)
+    against the ``greedy()`` baseline, passing ``inner`` (mode, enum_cap,
+    exact_budget) to the density solver; returns (selection, value, origin,
+    diagnostics)."""
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
     if not 2 <= p <= inst.n:
         raise InstanceError("need 2 <= p <= n")
+    if oracle is None:
+        key, value = "inner_epsilon", lambda sel: disp(sel, inst)
+    else:
+        key, value = "inner_gamma", lambda sel: dive(sel, inst, oracle)
+    theory = 0.00005 * epsilon**2
+    gamma = inner_gamma if inner_gamma is not None else theory
     diagnostics: dict = {
-        "inner_epsilon": inner_gamma if inner_gamma is not None else 0.00005 * epsilon**2,
-        "inner_epsilon_theory": 0.00005 * epsilon**2,
-        "inner_mode": inner_mode,
+        key: gamma,
+        f"{key}_theory": theory,
+        "inner_mode": inner["mode"],
         "theory_parameters": inner_gamma is None,
         "skip_reasons": {},
         "pairs_admissible": 0,
@@ -196,44 +216,44 @@ def qptas_dispersion(
     if p == inst.n:
         sel = tuple(range(inst.n))
         diagnostics["pairs_total"] = 0
-        return DispersionResult(sel, disp(sel, inst), "trivial", diagnostics)
+        return sel, value(sel), "trivial", diagnostics
 
-    eps_inner = diagnostics["inner_epsilon"]
-    pairs = _ordered_pairs(inst)
+    pairs = [(u, v) for u in range(inst.n) for v in range(inst.n) if u != v]
+    pairs.sort(key=lambda uv: (-inst.dist[uv[0], uv[1]], uv[0], uv[1]))
     diagnostics["pairs_total"] = len(pairs)
+    skips = diagnostics["skip_reasons"]
     best_sel: tuple | None = None
     best_val = -math.inf
     for idx, (u, v) in enumerate(pairs):
         try:
-            dks, ball = build_dks_from_ball(inst, p, u, v, epsilon)
+            sub, ball = build_dks_from_ball(inst, p, u, v, epsilon)
         except PairInadmissible as skip:
-            diagnostics["skip_reasons"][skip.reason] = (
-                diagnostics["skip_reasons"].get(skip.reason, 0) + 1
-            )
+            skips[skip.reason] = skips.get(skip.reason, 0) + 1
             continue
         diagnostics["pairs_admissible"] += 1
-        res = dks_additive(
-            dks,
-            eps_inner,
-            rng.child("pair", idx),
-            mode=inner_mode,
-            enum_cap=enum_cap,
-            exact_budget=exact_budget,
-        )
+        bonus = None
+        if oracle is not None:
+            fixed = frozenset(ball.outside) | frozenset(ball.forced)
+            scale = ball.k * (ball.k - 1) * ball.delta_star
+
+            def bonus(C):
+                return oracle(fixed | frozenset(ball.nodes[i] for i in C)) / scale
+
+        params = dks.SubDksParams(gamma=gamma, **inner)
+        res = dks.submodular_dks(sub, bonus, params, rng.child("pair", idx))
         sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in res.nodes}))
-        val = disp(sel, inst)
+        val = value(sel)
         if val > best_val or (val == best_val and (best_sel is None or sel < best_sel)):
             best_val, best_sel = val, sel
 
-    greedy_sel = greedy_dispersion(inst, p)
-    greedy_val = disp(greedy_sel, inst)
+    greedy_sel = greedy()
+    greedy_val = value(greedy_sel)
     diagnostics["greedy_value"] = greedy_val
     if best_sel is None:
         diagnostics["fallback"] = "no-admissible-pair"
-        return DispersionResult(greedy_sel, greedy_val, "greedy", diagnostics)
-    if greedy_val > best_val:
-        return DispersionResult(greedy_sel, greedy_val, "greedy", diagnostics)
-    return DispersionResult(best_sel, best_val, "ball-candidate", diagnostics)
+    if best_sel is None or greedy_val > best_val:
+        return greedy_sel, greedy_val, "greedy", diagnostics
+    return best_sel, best_val, "ball-candidate", diagnostics
 
 
 def greedy_dispersion(inst: MetricInstance, p: int) -> tuple:
@@ -264,12 +284,17 @@ def greedy_dispersion(inst: MetricInstance, p: int) -> tuple:
 
 def brute_force_dispersion(inst: MetricInstance, p: int, guard: int = 1_000_000):
     """Exact dispersion optimum by subset enumeration (lex-first tie-break)."""
+    return _brute_force(inst, p, guard, lambda S: disp(S, inst))
+
+
+def _brute_force(inst: MetricInstance, p: int, guard: int, objective):
+    """Lex-first maximizer of ``objective`` over the p-subsets: (selection, value)."""
     count = math.comb(inst.n, p)
     if count > guard:
         raise GuardExceeded(f"brute force refuses {count} > {guard} subsets")
     best_sel, best_val = None, -math.inf
     for combo in combinations(range(inst.n), p):
-        val = disp(combo, inst)
-        if val > best_val:
+        val = objective(combo)
+        if best_sel is None or val > best_val:
             best_sel, best_val = combo, val
     return best_sel, float(best_val)

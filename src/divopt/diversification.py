@@ -1,6 +1,7 @@
 """Max-sum diversification: maximize disp(S) + f(S) over |S| = p.
 
-Reuses the dispersion ball loop; the only new ingredient is that the bonus
+The (center, witness) ball loop is the one dispersion uses
+(``dispersion._ball_scheme``); the only new ingredient is that the bonus
 function rides into the density solver as a rescaled value oracle over the
 ball's ground set, with the points outside the core ball fixed inside every
 evaluation.
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .core import (
     InstanceError,
-    GuardExceeded,
     MetricInstance,
     RngState,
     SubmodularSpec,
@@ -22,15 +22,10 @@ from .core import (
     disp_cross,
     dive,
 )
-from .dispersion import (
-    LemmaCheck,
-    PairInadmissible,
-    _ordered_pairs,
-    build_dks_from_ball,
-)
-from .dks import SubDksParams, submodular_dks
-
-from itertools import combinations
+from .dispersion import LemmaCheck, _ball_scheme, _brute_force, _lemma_ratio
+# Still bound here because perfbench's tracer wraps these attributes by name.
+from .dispersion import build_dks_from_ball  # noqa: F401
+from .dks import submodular_dks  # noqa: F401
 
 __all__ = [
     "DiversificationInstance",
@@ -83,75 +78,14 @@ def diversify(
     guarantee (1 - eps) disp(OPT) + (1 - 1/e - eps) f(OPT); with the bonus
     identically zero the run matches qptas_dispersion seed for seed.
     """
-    inst, f, p = dinst.metric, dinst.f, dinst.p
-    oracle = as_value_oracle(f)
-    if not 0.0 < epsilon < 1.0:
-        raise InstanceError("epsilon must lie in (0, 1)")
-    if not 2 <= p <= inst.n:
-        raise InstanceError("need 2 <= p <= n for the scheme")
-    gamma = inner_gamma if inner_gamma is not None else 0.00005 * epsilon**2
-    diagnostics: dict = {
-        "inner_gamma": gamma,
-        "inner_gamma_theory": 0.00005 * epsilon**2,
-        "inner_mode": inner_mode,
-        "theory_parameters": inner_gamma is None,
-        "skip_reasons": {},
-        "pairs_admissible": 0,
-    }
-    if p == inst.n:
-        sel = tuple(range(inst.n))
-        diagnostics["pairs_total"] = 0
-        return DiversificationResult(
-            sel, dive(sel, inst, oracle), disp(sel, inst), float(oracle(frozenset(sel))),
-            "trivial", diagnostics,
-        )
-
-    pairs = _ordered_pairs(inst)
-    diagnostics["pairs_total"] = len(pairs)
-    best_sel: tuple | None = None
-    best_val = -math.inf
-    for idx, (u, v) in enumerate(pairs):
-        try:
-            dks, ball = build_dks_from_ball(inst, p, u, v, epsilon)
-        except PairInadmissible as skip:
-            diagnostics["skip_reasons"][skip.reason] = (
-                diagnostics["skip_reasons"].get(skip.reason, 0) + 1
-            )
-            continue
-        diagnostics["pairs_admissible"] += 1
-        fixed_outside = frozenset(ball.outside) | frozenset(ball.forced)
-        scale = ball.k * (ball.k - 1) * ball.delta_star
-        nodes = ball.nodes
-
-        def bonus(C, _fixed=fixed_outside, _scale=scale, _nodes=nodes):
-            return oracle(_fixed | frozenset(_nodes[i] for i in C)) / _scale
-
-        params = SubDksParams(
-            gamma=gamma, mode=inner_mode, enum_cap=enum_cap, exact_budget=exact_budget
-        )
-        res = submodular_dks(dks, bonus, params, rng.child("pair", idx))
-        sel = tuple(sorted(set(ball.outside) | {nodes[i] for i in res.nodes}))
-        val = dive(sel, inst, oracle)
-        if val > best_val or (val == best_val and (best_sel is None or sel < best_sel)):
-            best_val, best_sel = val, sel
-
-    greedy_sel = greedy_diversification(dinst)
-    greedy_val = dive(greedy_sel, inst, oracle)
-    diagnostics["greedy_value"] = greedy_val
-    if best_sel is None:
-        diagnostics["fallback"] = "no-admissible-pair"
-        best_sel, best_val, origin = greedy_sel, greedy_val, "greedy"
-    elif greedy_val > best_val:
-        best_sel, best_val, origin = greedy_sel, greedy_val, "greedy"
-    else:
-        origin = "ball-candidate"
+    inst = dinst.metric
+    oracle = as_value_oracle(dinst.f)
+    sel, val, origin, diagnostics = _ball_scheme(
+        inst, dinst.p, epsilon, rng, oracle, lambda: greedy_diversification(dinst), inner_gamma,
+        mode=inner_mode, enum_cap=enum_cap, exact_budget=exact_budget,
+    )
     return DiversificationResult(
-        best_sel,
-        best_val,
-        disp(best_sel, inst),
-        float(oracle(frozenset(best_sel))),
-        origin,
-        diagnostics,
+        sel, val, disp(sel, inst), float(oracle(frozenset(sel))), origin, diagnostics
     )
 
 
@@ -161,28 +95,7 @@ def check_div_structural_lemma(dinst: DiversificationInstance, Sopt) -> LemmaChe
     u_min minimizes the dispersion part only (distance sum to S, ties to the
     lowest index); the bonus strengthens the numerator.
     """
-    inst, p = dinst.metric, dinst.p
-    S = sorted(set(int(x) for x in Sopt))
-    if len(S) != p or p < 2:
-        raise InstanceError("Sopt must have exactly p >= 2 distinct points")
-    if p == inst.n:
-        raise InstanceError("no witness exists when p = n")
-    u_min, best = S[0], math.inf
-    for cand in S:
-        val = disp_cross([cand], S, inst)
-        if val < best:
-            u_min, best = cand, val
-    base = dive(S, inst, dinst.f)
-    ratio, witness = math.inf, None
-    members = set(S)
-    for v in range(inst.n):
-        if v in members:
-            continue
-        denom = p * (p - 1) * inst.d(u_min, v) / 16.0
-        r = math.inf if denom <= 0.0 else base / denom
-        if r < ratio:
-            ratio, witness = r, v
-    return LemmaCheck(float(ratio), u_min, witness)
+    return _lemma_ratio(dinst.metric, dinst.p, Sopt, lambda S: dive(S, dinst.metric, dinst.f))
 
 
 def greedy_diversification(dinst: DiversificationInstance) -> tuple:
@@ -209,17 +122,7 @@ def greedy_diversification(dinst: DiversificationInstance) -> tuple:
 
 def brute_force_diversification(dinst: DiversificationInstance, guard: int = 1_000_000):
     """Exact dive optimum; returns (selection, dive, disp part, bonus part)."""
-    inst, p = dinst.metric, dinst.p
+    inst = dinst.metric
     oracle = as_value_oracle(dinst.f)
-    count = math.comb(inst.n, p)
-    if count > guard:
-        raise GuardExceeded(f"brute force refuses {count} > {guard} subsets")
-    best = None
-    for combo in combinations(range(inst.n), p):
-        d = disp(combo, inst)
-        fv = float(oracle(frozenset(combo)))
-        val = d + fv
-        if best is None or val > best[1]:
-            best = (combo, val, d, fv)
-    sel, val, d, fv = best
-    return sel, float(val), float(d), float(fv)
+    sel, val = _brute_force(inst, dinst.p, guard, lambda S: dive(S, inst, oracle))
+    return sel, val, disp(sel, inst), float(oracle(frozenset(sel)))

@@ -247,7 +247,6 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     t = float(params.t) if params.t is not None else kp / s
     lo = max(1, math.ceil((1.0 - gp) * t - 1e-9))
     hi = math.floor((1.0 + gp) * t + 1e-9)
-    hi_anchor = math.floor((1.0 + gp) * t + 1e-9)
     diagnostics.update(
         {"s": s, "t": t, "gamma_prime": gp, "size_window": (lo, hi), "mode": params.mode}
     )
@@ -270,8 +269,8 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     diagnostics["candidate_cap_hit"] = cand_cap_hit
 
     anchors, anchor_cap_pre = ([], False)
-    if hi_anchor >= 1:
-        anchors, anchor_cap_pre = _enumerate_subsets(Vp, 1, hi_anchor, 10 * params.enum_cap)
+    if hi >= 1:
+        anchors, anchor_cap_pre = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
     diagnostics["anchors_total"] = len(anchors)
 
     W = inst.weights

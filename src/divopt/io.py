@@ -19,6 +19,7 @@ repr), so identical instances serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,8 @@ def _num_matrix(value, path: str) -> np.ndarray:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise InstanceError(f"{path}[{i}][{j}]: expected a number")
+            if not math.isfinite(x):
+                raise InstanceError(f"{path}[{i}][{j}]: expected a finite number")
     return np.asarray(value, dtype=float)
 
 

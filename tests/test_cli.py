@@ -1,9 +1,15 @@
 """End-to-end tests for the command line interface (direct main() calls)."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divopt
 from divopt.cli import main
 from divopt.core import DksInstance, MetricInstance, SetSystemInstance
 from divopt.io import load_instance
@@ -281,6 +287,23 @@ class TestOracleAndCheck:
         lemma = json.loads(out)["lemma"]
         assert lemma["ratio"] >= 1.0
         assert lemma["witness"] is not None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_is_exit_2_without_traceback(self, tmp_path, bad):
+        dist = [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]]
+        dist[0][1] = dist[1][0] = bad
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "metric", "n": 4, "dist": dist}), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(divopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divopt.cli", "solve-dispersion", "--in", str(path),
+             "--p", "3", "--epsilon", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "finite" in proc.stderr
 
     def test_check_selection_on_non_metric(self, tmp_path, capsys):
         d = gen_file(tmp_path, capsys, "d.json",

@@ -15,7 +15,12 @@ from divopt.core import (
     disp,
     dive,
 )
-from divopt.dispersion import qptas_dispersion
+from divopt.dispersion import (
+    brute_force_dispersion,
+    check_structural_lemma,
+    greedy_dispersion,
+    qptas_dispersion,
+)
 from divopt.diversification import (
     DiversificationInstance,
     DiversificationResult,
@@ -77,6 +82,22 @@ class TestZeroBonusEquivalence:
             assert a.value == pytest.approx(b.value, rel=1e-12)
             assert a.f_value == 0.0
             assert a.disp_value == pytest.approx(b.value, rel=1e-12)
+
+    def test_shared_loop_reports_the_same_run(self):
+        cases = [(gen_random_euclidean(8 + i % 3, 2, seed=900 + i), 3 + i % 3, i)
+                 for i in range(5)]
+        cases += [(gen_random_metric(8 + i % 3, seed=910 + i), 3 + i % 3, 10 + i)
+                  for i in range(5)]
+        for inst, p, seed in cases:
+            dinst = DiversificationInstance(inst, zero_bonus(inst.n), p)
+            a = diversify(dinst, 0.5, RngState(seed))
+            b = qptas_dispersion(inst, p, 0.5, RngState(seed))
+            assert a.origin == b.origin
+            for key in ("pairs_total", "pairs_admissible", "skip_reasons"):
+                assert a.diagnostics[key] == b.diagnostics[key], key
+            # The baselines differ (marginal greedy vs pair greedy); each is its own.
+            assert a.diagnostics["greedy_value"] == disp(greedy_diversification(dinst), inst)
+            assert b.diagnostics["greedy_value"] == disp(greedy_dispersion(inst, p), inst)
 
 
 class TestDiversify:
@@ -158,6 +179,13 @@ class TestStructuralLemma:
             sel, _, _, _ = brute_force_diversification(dinst)
             chk = check_div_structural_lemma(dinst, sel)
             assert chk.ratio >= 1.0
+
+    def test_zero_bonus_matches_dispersion_lemma(self):
+        for seed in range(8):
+            inst = gen_random_euclidean(8, 2, seed=960 + seed)
+            sel, _ = brute_force_dispersion(inst, 4)
+            dinst = DiversificationInstance(inst, zero_bonus(8), 4)
+            assert check_div_structural_lemma(dinst, sel) == check_structural_lemma(inst, 4, sel)
 
     def test_validation(self):
         dinst = self.spike_dinst()

@@ -394,3 +394,23 @@ class TestBench:
                 },
                 tmp_path,
             )
+
+    @pytest.mark.parametrize(
+        "instance, algorithm, seeds, key",
+        [
+            ({"p": "4"}, {}, [1], '"p"'),
+            ({}, {}, ["x"], '"seeds"'),
+            ({}, {"params": {"no_such_option": 1}}, [1], "no_such_option"),
+            ({}, {"params": [1, 2]}, [1], '"params"'),
+        ],
+        ids=["p-string", "seed-string", "unknown-param", "params-list"],
+    )
+    def test_malformed_spec_names_the_key(self, tmp_path, instance, algorithm, seeds, key):
+        self.write_fixtures(tmp_path)
+        spec = {
+            "instances": [{"id": "m", "path": "m.json", "p": 3, **instance}],
+            "algorithms": [{"name": "qptas-dispersion", "epsilon": 0.5, **algorithm}],
+            "seeds": seeds,
+        }
+        with pytest.raises(InstanceError, match=key):
+            run_bench(spec, tmp_path)

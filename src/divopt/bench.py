@@ -19,6 +19,7 @@ brute-force optima cached per instance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,10 +172,26 @@ def _run_brute_dks_additive(b, eps, params, rng):
     return brute_force_subdks(b.dks(), None)[1]
 
 
-_BALL = frozenset({"inner_mode", "enum_cap", "inner_gamma", "exact_budget"})
-_DKS = frozenset({"s", "t", "mode", "enum_cap", "exact_budget"})
-_DCG = frozenset({"u", "gamma", "eta", "trials", "prefix_cap", "max_cut_rounds"})
-_NONE = frozenset()
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_num(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# accepted params: key -> (check, expected JSON type); null keeps a None default
+_INT = (_is_int, "an integer")
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
+_NUM_OR_NULL = (lambda v: v is None or _is_num(v), "a number or null")
+_BALL = {"inner_mode": _STR, "enum_cap": _INT, "inner_gamma": _NUM_OR_NULL, "exact_budget": _INT}
+_DKS = {"s": _INT_OR_NULL, "t": _NUM_OR_NULL, "mode": _STR, "enum_cap": _INT, "exact_budget": _INT}
+_DCG = {
+    "u": _INT_OR_NULL, "gamma": _NUM_OR_NULL, "eta": _NUM_OR_NULL, "trials": _INT_OR_NULL,
+    "prefix_cap": _INT, "max_cut_rounds": _INT,
+}
+_NONE: dict = {}
 
 # name -> (runner, needs_epsilon, deterministic, oracle_name, accepted params)
 REGISTRY = {
@@ -195,10 +212,6 @@ REGISTRY = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_algorithm(algo) -> None:
     """Reject a malformed algorithm entry before anything runs."""
     if not isinstance(algo, dict) or "name" not in algo:
@@ -210,14 +223,18 @@ def _check_algorithm(algo) -> None:
     eps = algo.get("epsilon")
     if needs_eps and eps is None:
         raise InstanceError(f"algorithm {name!r} needs \"epsilon\"")
-    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
+    if eps is not None and not _is_num(eps):
         raise InstanceError(f"algorithm {name!r}: \"epsilon\" must be a number")
     params = algo.get("params", {})
     if not isinstance(params, dict):
         raise InstanceError(f"algorithm {name!r}: \"params\" must be an object")
-    unknown = sorted(set(params) - accepted)
+    unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise InstanceError(f"algorithm {name!r}: unknown \"params\" key(s) {unknown}")
+    for key, value in params.items():
+        check, label = accepted[key]
+        if not check(value):
+            raise InstanceError(f"algorithm {name!r}: \"params\" key {key!r} must be {label}")
 
 
 def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
@@ -228,13 +245,15 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
             raise InstanceError(f"instances[{idx}]: need \"id\" and \"path\"")
-        obj = load_instance(base_dir / entry["path"])
-        bonus = None
-        if entry.get("bonus"):
-            bonus = load_instance(base_dir / entry["bonus"])
-        p = entry.get("p")
+        path, bonus_path, p = entry["path"], entry.get("bonus"), entry.get("p")
+        if not isinstance(path, str):
+            raise InstanceError(f"instances[{idx}]: \"path\" must be a string")
+        if bonus_path is not None and not isinstance(bonus_path, str):
+            raise InstanceError(f"instances[{idx}]: \"bonus\" must be a string")
         if p is not None and not _is_int(p):
             raise InstanceError(f"instances[{idx}]: \"p\" must be an integer")
+        obj = load_instance(base_dir / path)
+        bonus = load_instance(base_dir / bonus_path) if bonus_path else None
         bundles.append(_Bundle(str(entry["id"]), obj, p=p, bonus=bonus))
     return bundles
 

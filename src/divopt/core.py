@@ -7,6 +7,7 @@ the usual DCG convention.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -215,8 +216,8 @@ class SubmodularSpec:
     def __post_init__(self):
         if self.kind == "modular":
             w = tuple(float(x) for x in self.weights)
-            if any(x < 0 for x in w):
-                raise InstanceError("modular weights must be non-negative")
+            if not all(0.0 <= x < math.inf for x in w):
+                raise InstanceError("modular weights must be finite and non-negative")
             object.__setattr__(self, "weights", w)
         elif self.kind == "coverage":
             covers = tuple(frozenset(int(i) for i in c) for c in self.covers)
@@ -228,8 +229,8 @@ class SubmodularSpec:
                 uw = tuple(float(x) for x in self.uweights)
                 if len(uw) != self.universe:
                     raise InstanceError("uweights length must equal universe size")
-                if any(x < 0 for x in uw):
-                    raise InstanceError("uweights must be non-negative")
+                if not all(0.0 <= x < math.inf for x in uw):
+                    raise InstanceError("uweights must be finite and non-negative")
                 object.__setattr__(self, "uweights", uw)
         else:
             raise InstanceError(f"unknown submodular kind {self.kind!r}")

@@ -287,6 +287,38 @@ def _check_assignment(x: np.ndarray, n: int, tol: float = 1e-6):
         raise InstanceError("each element must place total mass 1")
 
 
+def _round_orders(
+    xstar: np.ndarray,
+    inst: SetSystemInstance,
+    f: GainFunction,
+    params: RoundingParams,
+    rngs: Sequence[RngState],
+) -> np.ndarray:
+    """Local orders of one randomized rounding pass per stream, as (len(rngs), n).
+
+    Phase i targets t_i = min(n, 2^i); element e joins the phase's block
+    independently with probability min(1, z_{e,i} / (gamma * f(t_i))) where
+    z_{e,i} is e's LP mass on the first t_i positions.  Blocks are
+    concatenated (ascending index inside a block, repeats skipped) and any
+    leftover elements are appended in ascending order, so each row is a full
+    permutation: the elements sorted by (first joining phase, index).  Each
+    stream draws its phases x n uniforms phase by phase in one call.
+    """
+    n = inst.n
+    xstar = np.asarray(xstar, dtype=float)
+    _check_assignment(xstar, n)
+    phases = max(0, math.ceil(math.log2(n))) if n > 1 else 0
+    targets = [min(n, 2**i) for i in range(1, phases + 1)]
+    z = np.array([xstar[:, :t_i].sum(axis=1) for t_i in targets]).reshape(phases, n)
+    p = np.minimum(1.0, z / (params.gamma * np.array([f(t_i) for t_i in targets]))[:, None])
+    draws = np.array([r.gen.random(phases * n) for r in rngs]).reshape(len(rngs), phases, n)
+    # The always-true last row stands for "never joined"; it is also the only
+    # row when n == 1 leaves no phases, so every element gets first phase 0.
+    never = np.ones((len(rngs), 1, n), dtype=bool)
+    first = np.concatenate([draws < p, never], axis=1).argmax(axis=1)
+    return np.argsort(first, axis=1, kind="stable")
+
+
 def round_lp(
     xstar: np.ndarray,
     ystar: np.ndarray,
@@ -295,35 +327,8 @@ def round_lp(
     params: RoundingParams,
     rng: RngState,
 ) -> Ranking:
-    """One randomized rounding pass over doubling prefixes.
-
-    Phase i targets t_i = min(n, 2^i); element e joins the phase's block
-    independently with probability min(1, z_{e,i} / (gamma * f(t_i))) where
-    z_{e,i} is e's LP mass on the first t_i positions.  Blocks are
-    concatenated (ascending index inside a block, repeats skipped) and any
-    leftover elements are appended in ascending order, so the output is
-    always a full permutation.
-    """
-    n = inst.n
-    xstar = np.asarray(xstar, dtype=float)
-    _check_assignment(xstar, n)
-    phases = max(0, math.ceil(math.log2(n))) if n > 1 else 0
-    placed = []
-    in_order = set()
-    for i in range(1, phases + 1):
-        t_i = min(n, 2**i)
-        z = xstar[:, :t_i].sum(axis=1)
-        p = np.minimum(1.0, z / (params.gamma * f(t_i)))
-        draws = rng.gen.random(n)
-        for e in range(n):
-            if draws[e] < p[e] and e not in in_order:
-                placed.append(e)
-                in_order.add(e)
-    for e in range(n):
-        if e not in in_order:
-            placed.append(e)
-            in_order.add(e)
-    return Ranking.from_order(placed, inst)
+    """One randomized rounding pass over doubling prefixes (see _round_orders)."""
+    return Ranking.from_order(_round_orders(xstar, inst, f, params, [rng])[0], inst)
 
 
 def tstar_bound(ystar: np.ndarray, inst: SetSystemInstance, f: GainFunction, eta: float) -> float:
@@ -404,6 +409,23 @@ def _prefix_state(inst: SetSystemInstance, prefix: tuple, f: GainFunction):
     return fixed, res_inst, rest
 
 
+def _best_candidate(orders: np.ndarray, sets: list, gains: np.ndarray) -> tuple[int, float]:
+    """Row of the best order in ``orders`` and its value; ``gains[t-1]`` is f(t).
+
+    A set's cover time is its k-th smallest member position; gains add set by
+    set from 0.0, the float sums of dcg_value.  Ties go to the lexicographically
+    smallest order, then the first row, as a scan keeping strict gains would.
+    """
+    pos = np.empty_like(orders)
+    pos[np.arange(len(orders))[:, None], orders] = np.arange(1, orders.shape[1] + 1)
+    vals = np.zeros(len(orders))
+    for members, k in sets:
+        vals += gains[np.partition(pos[:, members], k - 1, axis=1)[:, k - 1] - 1]
+    top = np.flatnonzero(vals == vals.max())
+    row = int(top[np.lexsort(orders[top].T[::-1])[0]])
+    return row, float(vals[row])
+
+
 def ptas_dcg(
     inst: SetSystemInstance,
     epsilon: float,
@@ -423,7 +445,9 @@ def ptas_dcg(
     u = 2, trials = 200.  Small epsilon is the analyzed regime; larger values
     are accepted only together with explicit overrides.  Per-trial randomness
     comes from child streams keyed by (prefix index, trial index), so results
-    do not depend on evaluation order.
+    do not depend on evaluation order.  The trials of one prefix are rounded
+    and scored as one batch; diagnostics ``best_prefix`` and ``best_trial``
+    name the winner (``best_trial`` is None when no rounding produced it).
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -474,9 +498,11 @@ def ptas_dcg(
             if val > best_value or (val == best_value and (best_order is None or perm < best_order)):
                 best_value, best_order = val, perm
         ranking = Ranking.from_order(best_order, inst)
-        diagnostics["mode"] = "exhaustive"
+        diagnostics.update(mode="exhaustive", best_prefix=list(best_order), best_trial=None)
         return RankSolution(ranking, best_value, best_value, diagnostics)
 
+    sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
+    gains = np.array([f(t) for t in range(1, n + 1)])
     lp_cache: dict[frozenset, tuple] = {}
     res_gain = f.shifted(u_eff)
     for pidx, prefix in enumerate(permutations(range(n), u_eff)):
@@ -494,17 +520,17 @@ def ptas_dcg(
         lp_bound = max(lp_bound, fixed + res_obj)
 
         if res is None:
-            candidates = [tuple(prefix) + tuple(rest)]
+            orders = np.array([prefix + tuple(rest)])
         else:
-            candidates = []
-            for trial in range(params.trials):
-                trial_rng = rng.child(pidx, trial)
-                local = round_lp(res.x, res.y, res_inst, res_gain, params, trial_rng)
-                candidates.append(tuple(prefix) + tuple(rest[i] for i in local.order))
-        for order in candidates:
-            val = dcg_value(order, inst, f)
-            if val > best_value or (val == best_value and (best_order is None or order < best_order)):
-                best_value, best_order = val, order
+            streams = [rng.child(pidx, trial) for trial in range(params.trials)]
+            local = _round_orders(res.x, res_inst, res_gain, params, streams)
+            orders = np.hstack([np.tile(prefix, (len(local), 1)), np.asarray(rest)[local]])
+        row, val = _best_candidate(orders, sets, gains)
+        order = tuple(int(e) for e in orders[row])
+        if val > best_value or (val == best_value and order < best_order):
+            best_value, best_order = val, order
+            diagnostics["best_prefix"] = list(prefix)
+            diagnostics["best_trial"] = None if res is None else row
 
     ranking = Ranking.from_order(best_order, inst)
     diagnostics["mode"] = "prefix-lp-rounding"

@@ -305,6 +305,23 @@ class TestOracleAndCheck:
         assert "Traceback" not in proc.stderr
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_bonus_weight_is_exit_2_without_traceback(self, tmp_path, capsys, bad):
+        m = gen_file(tmp_path, capsys, "m.json",
+                     "gen", "euclidean", "--n", "6", "--seed", "3")
+        bonus = tmp_path / "f.json"
+        bonus.write_text(json.dumps({"kind": "modular", "weights": [bad] + [1.0] * 5}),
+                         encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(divopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divopt.cli", "solve-diversification", "--in", str(m),
+             "--bonus", str(bonus), "--p", "3", "--epsilon", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "finite" in proc.stderr
+
     def test_check_selection_on_non_metric(self, tmp_path, capsys):
         d = gen_file(tmp_path, capsys, "d.json",
                      "gen", "random-dks", "--n", "6", "--k", "3", "--seed", "8")

@@ -1,5 +1,7 @@
 """Core types: RNG determinism, metric validation, objective helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,14 @@ def test_submodular_spec_validation():
         SubmodularSpec(kind="coverage", universe=2, covers=({0},), uweights=(1.0,))
     with pytest.raises(InstanceError):
         SubmodularSpec(kind="nonsense")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_submodular_spec_rejects_non_finite_weights(bad):
+    with pytest.raises(InstanceError, match="finite"):
+        SubmodularSpec(kind="modular", weights=(1.0, bad))
+    with pytest.raises(InstanceError, match="finite"):
+        SubmodularSpec(kind="coverage", universe=2, covers=({0}, {1}), uweights=(bad, 1.0))
 
 
 def test_as_value_oracle_accepts_all_forms():

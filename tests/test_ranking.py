@@ -11,6 +11,9 @@ from divopt.generators import gen_setsystem
 from divopt.lp import solve_lp
 from divopt.ranking import (
     DCG_STANDARD,
+    _best_candidate,
+    _prefix_state,
+    _round_orders,
     DcgLpLayout,
     GainFunction,
     Ranking,
@@ -379,3 +382,125 @@ class TestPtas:
         assert d["u_theory_log10"] == pytest.approx(
             (100.0 / 0.3) * math.log10(4.0 / 0.3)
         )
+
+
+def loop_round(xstar, inst, f, params, rng):
+    """Per-element rounding loop that _round_orders vectorizes (reference)."""
+    n = inst.n
+    phases = max(0, math.ceil(math.log2(n))) if n > 1 else 0
+    placed = []
+    for i in range(1, phases + 1):
+        t_i = min(n, 2**i)
+        p = np.minimum(1.0, xstar[:, :t_i].sum(axis=1) / (params.gamma * f(t_i)))
+        draws = rng.gen.random(n)
+        placed += [e for e in range(n) if draws[e] < p[e] and e not in placed]
+    return tuple(placed + [e for e in range(n) if e not in placed])
+
+
+def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
+    """ptas_dcg as one round_lp + dcg_value pass per trial (reference).
+
+    Returns (value, order, lp_bound, best prefix, best trial).
+    """
+    params = RoundingParams(gamma=gamma, eta=epsilon, trials=trials)
+    res_gain = f.shifted(u)
+    best = (-math.inf, None, None, None)
+    lp_bound = -math.inf
+    lps = {}
+    for pidx, prefix in enumerate(itertools.permutations(range(inst.n), u)):
+        fixed, res_inst, rest = _prefix_state(inst, prefix, f)
+        key = frozenset(prefix)
+        if key not in lps:
+            empty = res_inst is None or res_inst.m == 0
+            lps[key] = None if empty else solve_dcg_lp(res_inst, res_gain)
+        res = lps[key]
+        lp_bound = max(lp_bound, fixed + (0.0 if res is None else res.objective))
+        if res is None:
+            candidates = [(None, prefix + tuple(rest))]
+        else:
+            candidates = []
+            for trial in range(trials):
+                local = round_lp(res.x, res.y, res_inst, res_gain, params, rng.child(pidx, trial))
+                candidates.append((trial, prefix + tuple(rest[i] for i in local.order)))
+        for trial, order in candidates:
+            val = dcg_value(order, inst, f)
+            if val > best[0] or (val == best[0] and order < best[1]):
+                best = (val, order, list(prefix), trial)
+    return best[0], best[1], lp_bound, best[2], best[3]
+
+
+class TestBatchedTrials:
+    # (n, m, kmax, seed, u, trials, gamma, eta); n - u == 1 leaves one-element
+    # residuals.  Small gamma makes most join probabilities 1, so equal orders
+    # repeat across trials; the last case draws enough to be won by trial 2.
+    CASES = [
+        (5, 3, 2, 600, 2, 20, 0.05, 0.3),
+        (6, 4, 2, 601, 2, 10, 0.05, 0.3),
+        (4, 3, 2, 602, 1, 30, 0.05, 0.3),
+        (3, 2, 2, 603, 2, 5, 0.05, 0.3),
+        (2, 2, 2, 604, 1, 4, 0.05, 0.3),
+        (6, 3, 3, 605, 1, 1, 0.05, 0.3),
+        (5, 4, 2, 606, 2, 1, 0.05, 0.3),
+        (7, 3, 2, 607, 1, 15, 0.05, 0.3),
+        (4, 4, 3, 608, 3, 8, 0.05, 0.3),
+        (6, 5, 2, 609, 2, 6, 0.05, 0.3),
+        (5, 2, 1, 610, 3, 3, 0.05, 0.3),
+        (3, 3, 1, 611, 1, 50, 0.05, 0.3),
+        (8, 5, 2, 893, 1, 30, 0.45, 0.95),
+    ]
+
+    @pytest.mark.parametrize("n, m, kmax, seed, u, trials, gamma, eta", CASES)
+    def test_matches_per_trial_loop(self, n, m, kmax, seed, u, trials, gamma, eta):
+        inst = gen_setsystem(n, m, kmax, seed=seed)
+        got = ptas_dcg(inst, 0.3, RngState(seed), u=u, gamma=gamma, eta=eta, trials=trials)
+        value, order, lp_bound, prefix, trial = per_trial_ptas(
+            inst, eta, RngState(seed), u, gamma, trials
+        )
+        assert got.value == value
+        assert got.ranking.order == order
+        assert got.lp_bound == lp_bound
+        assert got.diagnostics["best_prefix"] == prefix == list(order[:u])
+        assert got.diagnostics["best_trial"] == trial
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (5, 2), (6, 3), (8, 4)])
+    def test_rows_match_single_stream_rounding(self, n, seed):
+        inst = gen_setsystem(n, 3, 2, seed=700 + seed)
+        res = solve_dcg_lp(inst, DCG_STANDARD)
+        params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
+        rng = RngState(seed)
+        streams = [rng.child(seed, trial) for trial in range(25)]
+        rows = _round_orders(res.x, inst, DCG_STANDARD, params, streams)
+        assert rows.shape == (25, n)
+        for trial, row in enumerate(rows):
+            single = round_lp(res.x, res.y, inst, DCG_STANDARD, params, rng.child(seed, trial))
+            looped = loop_round(res.x, inst, DCG_STANDARD, params, rng.child(seed, trial))
+            assert tuple(row) == single.order == looped
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_candidate_matches_sequential_scan(self, seed):
+        # The last two elements belong to no set, so swapping them keeps the
+        # value: rows tie between distinct orders as well as between repeats.
+        n = 5 + seed % 3
+        base = gen_setsystem(n - 2, 4, 3, seed=720 + seed)
+        inst = SetSystemInstance(n, base.sets)
+        g = RngState(seed).gen
+        pool = []
+        for _ in range(4):
+            perm = [int(e) for e in g.permutation(n)]
+            pool.append(perm)
+            pool.append([{n - 2: n - 1, n - 1: n - 2}.get(e, e) for e in perm])
+        orders = np.array([pool[i] for i in g.integers(0, len(pool), size=40)])
+        sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
+        gains = np.array([DCG_STANDARD(t) for t in range(1, n + 1)])
+        best = (-math.inf, None, None)
+        for row, order in enumerate(tuple(int(e) for e in o) for o in orders):
+            val = dcg_value(order, inst, DCG_STANDARD)
+            if val > best[0] or (val == best[0] and order < best[1]):
+                best = (val, order, row)
+        assert _best_candidate(orders, sets, gains) == (best[2], best[0])
+
+    def test_exhaustive_mode_diagnostics(self):
+        inst = gen_setsystem(4, 3, 2, seed=612)
+        res = ptas_dcg(inst, 0.3, RngState(0), u=9, gamma=0.05, trials=5)
+        assert res.diagnostics["best_prefix"] == list(res.ranking.order)
+        assert res.diagnostics["best_trial"] is None

@@ -402,8 +402,12 @@ class TestBench:
             ({}, {}, ["x"], '"seeds"'),
             ({}, {"params": {"no_such_option": 1}}, [1], "no_such_option"),
             ({}, {"params": [1, 2]}, [1], '"params"'),
+            ({"path": 5}, {}, [1], '"path"'),
+            ({"bonus": 5}, {}, [1], '"bonus"'),
+            ({}, {"params": {"enum_cap": "x"}}, [1], "enum_cap"),
         ],
-        ids=["p-string", "seed-string", "unknown-param", "params-list"],
+        ids=["p-string", "seed-string", "unknown-param", "params-list", "path-int",
+             "bonus-int", "param-mistyped"],
     )
     def test_malformed_spec_names_the_key(self, tmp_path, instance, algorithm, seeds, key):
         self.write_fixtures(tmp_path)

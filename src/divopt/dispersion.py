@@ -212,6 +212,8 @@ def _ball_scheme(
         "theory_parameters": inner_gamma is None,
         "skip_reasons": {},
         "pairs_admissible": 0,
+        "best_pair": None,
+        "best_pair_index": None,
     }
     if p == inst.n:
         sel = tuple(range(inst.n))
@@ -224,6 +226,7 @@ def _ball_scheme(
     skips = diagnostics["skip_reasons"]
     best_sel: tuple | None = None
     best_val = -math.inf
+    best_idx = None
     for idx, (u, v) in enumerate(pairs):
         try:
             sub, ball = build_dks_from_ball(inst, p, u, v, epsilon)
@@ -244,7 +247,7 @@ def _ball_scheme(
         sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in res.nodes}))
         val = value(sel)
         if val > best_val or (val == best_val and (best_sel is None or sel < best_sel)):
-            best_val, best_sel = val, sel
+            best_val, best_sel, best_idx = val, sel, idx
 
     greedy_sel = greedy()
     greedy_val = value(greedy_sel)
@@ -253,6 +256,8 @@ def _ball_scheme(
         diagnostics["fallback"] = "no-admissible-pair"
     if best_sel is None or greedy_val > best_val:
         return greedy_sel, greedy_val, "greedy", diagnostics
+    diagnostics["best_pair"] = list(pairs[best_idx])
+    diagnostics["best_pair_index"] = best_idx
     return best_sel, best_val, "ball-candidate", diagnostics
 
 

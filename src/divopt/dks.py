@@ -7,14 +7,15 @@ weight profile matches Q's, picks one block per partition cell by maximizing
 h over that partition matroid, repairs sizes, and finally keeps the best
 anchor's team.  With one partition cell and uncapped enumeration the anchor
 loop walks every feasible block, which is what the small-instance
-equivalence tests rely on.
+equivalence tests rely on; without a bonus it then reduces to a direct
+argmax of density over the blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -215,6 +216,19 @@ def _enumerate_subsets(nodes: Sequence[int], lo: int, hi: int, cap: int):
     return out, hit
 
 
+def _admission(cprof, cmn, aprof, aself, order, gp: float) -> np.ndarray:
+    """Admission matrix (anchors in ``order``) x candidates of the one-cell
+    scan: the vectorized ``candidate_admit``, chunked to bound memory."""
+    cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp  # (c, a)
+    chunk = max(1, int(2_000_000 // max(1, cprof.size)))
+    rows = []
+    for start in range(0, len(order), chunk):
+        sel = order[start : start + chunk]
+        diff = np.abs(cprof[None, :, :] - aprof[sel, None, :]).max(axis=2)
+        rows.append((diff <= 2.0 * gp) & cond9[:, sel].T)
+    return np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
+
+
 def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) -> DksResult:
     """Anchored profile-matching solver for max h(T) + den(T), |T| = k, I <= T.
 
@@ -268,11 +282,6 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     diagnostics["candidates_per_part"] = [len(c) for c in part_cands]
     diagnostics["candidate_cap_hit"] = cand_cap_hit
 
-    anchors, anchor_cap_pre = ([], False)
-    if hi >= 1:
-        anchors, anchor_cap_pre = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
-    diagnostics["anchors_total"] = len(anchors)
-
     W = inst.weights
     wI = float(W[np.ix_(I, I)].sum() / 2.0) if len(I) >= 2 else 0.0
     crossI = W[:, I].sum(axis=1) if I else np.zeros(n)
@@ -285,17 +294,11 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
 
     fallback_T, fallback_h, fallback_d = team_stats(_pad_to_size(set(), kp, Vp))
 
-    if not anchors:
-        diagnostics["anchors_used"] = 0
-        diagnostics["no_anchor_fallback"] = True
-        return DksResult(
-            fallback_T, fallback_h + fallback_d, fallback_h, fallback_d, diagnostics
-        )
-
     def batch_profiles(subsets: Sequence[tuple]):
         B = np.zeros((len(subsets), n))
-        for r, sub in enumerate(subsets):
-            B[r, list(sub)] = 1.0
+        lens = [len(sub) for sub in subsets]
+        cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=sum(lens))
+        B[np.repeat(np.arange(len(subsets)), lens), cols] = 1.0
         sizes = B.sum(axis=1)
         BW = B @ W
         prof = BW / sizes[:, None]
@@ -306,6 +309,59 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         pairs = size_T * (size_T - 1) / 2.0
         dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
         return B, sizes, prof, mn, dens
+
+    repairs = 0
+    best: tuple | None = None  # ((value,), T, h, d)
+
+    def consider(T: tuple, hv: float, dv: float):
+        nonlocal best
+        val = hv + dv
+        if best is None or val > best[0] or (val == best[0] and T < best[1]):
+            best = (val, T, hv, dv)
+
+    use_fast = s == 1 and lo == kp and hi == kp
+    cands = part_cands[0] if use_fast else []
+    if cands:
+        _, _, cprof, cmn, cdens = batch_profiles(cands)
+
+    # Direct argmax: with no bonus, one cell and every anchor scanned, each
+    # candidate admits itself as anchor and heads the density order, so the
+    # scan's winner is the lexicographically first densest candidate.  The
+    # scan also weighs the fallback team iff some anchor admits nothing; a
+    # singleton anchor that admits nothing settles that, otherwise (and for
+    # every other case) the anchored scan below runs.
+    n_anchors = sum(math.comb(len(Vp), r) for r in range(1, hi + 1))
+    if cands and h is None and n_anchors <= params.enum_cap:
+        # A singleton anchor {v} has profile W[v] and self term W[v, v],
+        # bit for bit what batch_profiles gives it.
+        sprof, sself = W[Vp], W[Vp, Vp]
+        lonely = kp >= 2 and any(
+            not _admission(cprof, cmn, sprof, sself, [i], gp).any() for i in range(len(Vp))
+        )
+        if kp == 1 or lonely:
+            w = int(np.argmax(cdens))
+            T = tuple(sorted(set(I) | set(cands[w])))
+            consider(T, 0.0, float(cdens[w]) if k >= 2 else 0.0)
+            if lonely:
+                consider(fallback_T, fallback_h, fallback_d)
+            diagnostics.update(
+                {"anchors_total": n_anchors, "anchor_cap_hit": False, "anchors_used": 0,
+                 "fast_path": True, "direct_argmax": True, "repairs": 0}
+            )
+            val, T, hv, dv = best
+            return DksResult(T, val, hv, dv, diagnostics)
+
+    anchors, anchor_cap_pre = ([], False)
+    if hi >= 1:
+        anchors, anchor_cap_pre = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
+    diagnostics["anchors_total"] = len(anchors)
+
+    if not anchors:
+        diagnostics["anchors_used"] = 0
+        diagnostics["no_anchor_fallback"] = True
+        return DksResult(
+            fallback_T, fallback_h + fallback_d, fallback_h, fallback_d, diagnostics
+        )
 
     Ba, asz, aprof, amn, adens = batch_profiles(anchors)
     aself = (amn * aprof).sum(axis=1)
@@ -318,37 +374,18 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     else:
         diagnostics["anchor_cap_hit"] = bool(anchor_cap_pre)
     diagnostics["anchors_used"] = len(aorder)
-
-    use_fast = s == 1 and lo == kp and hi == kp
     diagnostics["fast_path"] = use_fast
-    repairs = 0
-    best: tuple | None = None  # ((value,), T, h, d)
-
-    def consider(T: tuple, hv: float, dv: float):
-        nonlocal best
-        val = hv + dv
-        if best is None or val > best[0] or (val == best[0] and T < best[1]):
-            best = (val, T, hv, dv)
 
     if use_fast:
-        cands = part_cands[0]
         if not cands:
             consider(fallback_T, fallback_h, fallback_d)
         else:
-            Bc, csz, cprof, cmn, cdens = batch_profiles(cands)
             if h is None:
                 ch = np.zeros(len(cands))
             else:
                 ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
             corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
-            cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp  # (c, a)
-            chunk = max(1, int(2_000_000 // max(1, len(cands) * n)))
-            rows = []
-            for start in range(0, len(aorder), chunk):
-                sel = aorder[start : start + chunk]
-                diff = np.abs(cprof[None, :, :] - aprof[sel, None, :]).max(axis=2)
-                rows.append((diff <= 2.0 * gp) & cond9[:, sel].T)
-            admitted = np.vstack(rows) if rows else np.zeros((0, len(cands)), dtype=bool)
+            admitted = _admission(cprof, cmn, aprof, aself, aorder, gp)
             adm_ord = admitted[:, corder]
             has = adm_ord.any(axis=1)
             firsts = adm_ord.argmax(axis=1)

@@ -127,15 +127,31 @@ def _require(payload: dict, key: str, kind: str):
     return payload[key]
 
 
+def _number(value, path: str, *index: int, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer when ``integer``),
+    else InstanceError naming the field ``path[index]...``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        problem = "an integer" if integer else "a number"
+    elif isinstance(value, float) and not math.isfinite(value):
+        problem = "a finite number"
+    else:
+        return value
+    raise InstanceError(f"{path}{''.join(f'[{i}]' for i in index)}: expected {problem}")
+
+
 def _int_list(value, path: str) -> list[int]:
     if not isinstance(value, list):
         raise InstanceError(f"{path}: expected a list")
-    out = []
     for idx, v in enumerate(value):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InstanceError(f"{path}[{idx}]: expected an integer")
-        out.append(v)
-    return out
+        if type(v) is not int:
+            _number(v, path, idx, integer=True)
+    return list(value)
+
+
+def _num_list(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise InstanceError(f"{path}: expected a list of numbers")
+    return tuple(float(_number(v, path, idx)) for idx, v in enumerate(value))
 
 
 def _num_matrix(value, path: str) -> np.ndarray:
@@ -143,10 +159,8 @@ def _num_matrix(value, path: str) -> np.ndarray:
         raise InstanceError(f"{path}: expected a list of rows")
     for i, row in enumerate(value):
         for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise InstanceError(f"{path}[{i}][{j}]: expected a number")
-            if not math.isfinite(x):
-                raise InstanceError(f"{path}[{i}][{j}]: expected a finite number")
+            if type(x) is not float or not math.isfinite(x):  # skip the call for the common case
+                _number(x, path, i, j)
     return np.asarray(value, dtype=float)
 
 
@@ -159,14 +173,14 @@ def from_payload(payload: dict):
     if not isinstance(meta, dict):
         raise InstanceError("meta: expected an object")
     if kind == "metric":
-        n = _require(payload, "n", kind)
+        n = _number(_require(payload, "n", kind), "n", integer=True)
         dist = _num_matrix(_require(payload, "dist", kind), "dist")
         points = payload.get("points")
         if points is not None:
             points = _num_matrix(points, "points")
-        return MetricInstance(int(n), dist, points=points, meta=dict(meta))
+        return MetricInstance(n, dist, points=points, meta=dict(meta))
     if kind == "setsystem":
-        n = int(_require(payload, "n", kind))
+        n = _number(_require(payload, "n", kind), "n", integer=True)
         raw = _require(payload, "sets", kind)
         if not isinstance(raw, list):
             raise InstanceError("sets: expected a list")
@@ -175,13 +189,13 @@ def from_payload(payload: dict):
             if not isinstance(entry, dict):
                 raise InstanceError(f"sets[{idx}]: expected an object")
             members = _int_list(_require(entry, "members", f"sets[{idx}]"), f"sets[{idx}].members")
-            k = _require(entry, "k", f"sets[{idx}]")
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise InstanceError(f"sets[{idx}].k: expected an integer")
+            k = _number(_require(entry, "k", f"sets[{idx}]"), f"sets[{idx}].k", integer=True)
             sets.append((frozenset(members), k))
         return SetSystemInstance(n, tuple(sets), meta=dict(meta))
     if kind == "dks":
-        n = int(_require(payload, "n", kind))
+        n = _number(_require(payload, "n", kind), "n", integer=True)
+        if n < 0:
+            raise InstanceError("n: expected a non-negative integer")
         raw = _require(payload, "weights", kind)
         if not isinstance(raw, list):
             raise InstanceError("weights: expected a list of [i, j, w] triples")
@@ -190,23 +204,19 @@ def from_payload(payload: dict):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise InstanceError(f"weights[{idx}]: expected an [i, j, w] triple")
             i, j, w = triple
-            if not isinstance(i, int) or not isinstance(j, int) or isinstance(w, bool):
+            if not isinstance(i, int) or not isinstance(j, int):
                 raise InstanceError(f"weights[{idx}]: expected [int, int, number]")
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise InstanceError(f"weights[{idx}]: ids must be distinct and in range({n})")
-            W[i, j] = W[j, i] = float(w)
+            W[i, j] = W[j, i] = float(_number(w, "weights", idx, 2))
         forced = _int_list(_require(payload, "forced", kind), "forced")
-        k = _require(payload, "k", kind)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise InstanceError("k: expected an integer")
+        k = _number(_require(payload, "k", kind), "k", integer=True)
         return DksInstance(n, W, forced=frozenset(forced), k=k, meta=dict(meta))
     if kind == "modular":
-        weights = _require(payload, "weights", kind)
-        if not isinstance(weights, list):
-            raise InstanceError("weights: expected a list of numbers")
-        return SubmodularSpec(kind="modular", weights=tuple(float(w) for w in weights))
+        weights = _num_list(_require(payload, "weights", kind), "weights")
+        return SubmodularSpec(kind="modular", weights=weights)
     if kind == "coverage":
-        universe = _require(payload, "universe", kind)
+        universe = _number(_require(payload, "universe", kind), "universe", integer=True)
         raw = _require(payload, "covers", kind)
         if not isinstance(raw, list):
             raise InstanceError("covers: expected a list of lists")
@@ -215,15 +225,13 @@ def from_payload(payload: dict):
         )
         uweights = payload.get("uweights")
         if uweights is not None:
-            uweights = tuple(float(w) for w in uweights)
+            uweights = _num_list(uweights, "uweights")
         return SubmodularSpec(
-            kind="coverage", universe=int(universe), covers=covers, uweights=uweights
+            kind="coverage", universe=universe, covers=covers, uweights=uweights
         )
     if kind == "maxcov":
-        universe = int(_require(payload, "universe", kind))
-        k = _require(payload, "k", kind)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise InstanceError("k: expected an integer")
+        universe = _number(_require(payload, "universe", kind), "universe", integer=True)
+        k = _number(_require(payload, "k", kind), "k", integer=True)
         raw = _require(payload, "sets", kind)
         if not isinstance(raw, list):
             raise InstanceError("sets: expected a list of lists")

@@ -322,6 +322,33 @@ class TestOracleAndCheck:
         assert "Traceback" not in proc.stderr
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"kind": "dks", "n": 3, "weights": [[0, 1, "x"]], "forced": [], "k": 2}, "weights[0][2]"),
+        ({"kind": "dks", "n": 3, "weights": [[0, 1, math.nan]], "forced": [], "k": 2},
+         "weights[0][2]"),
+        ({"kind": "dks", "n": "x", "weights": [], "forced": [], "k": 2}, "n"),
+        ({"kind": "dks", "n": -1, "weights": [], "forced": [], "k": 0}, "n"),
+        ({"kind": "metric", "n": "x", "dist": [[0.0]]}, "n"),
+        ({"kind": "setsystem", "n": 2.5, "sets": []}, "n"),
+        ({"kind": "modular", "weights": ["x"]}, "weights[0]"),
+        ({"kind": "modular", "weights": "x"}, "weights"),
+        ({"kind": "coverage", "universe": 2, "covers": [[0]], "uweights": ["x", 1]},
+         "uweights[0]"),
+        ({"kind": "coverage", "universe": "x", "covers": [[0]]}, "universe"),
+        ({"kind": "maxcov", "universe": "x", "k": 1, "sets": [[0]]}, "universe"),
+    ])
+    def test_mistyped_number_is_exit_2_without_traceback(self, tmp_path, payload, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(divopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divopt.cli", "check", "--in", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"invalid input: {field}:" in proc.stderr
+
     def test_check_selection_on_non_metric(self, tmp_path, capsys):
         d = gen_file(tmp_path, capsys, "d.json",
                      "gen", "random-dks", "--n", "6", "--k", "3", "--seed", "8")

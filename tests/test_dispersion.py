@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.core import (
     GuardExceeded,
@@ -23,6 +25,7 @@ from divopt.dispersion import (
     greedy_dispersion,
     qptas_dispersion,
 )
+from divopt import dks
 from divopt.dks import den
 from divopt.generators import gen_random_euclidean, gen_random_metric
 
@@ -268,3 +271,62 @@ class TestQptas:
             qptas_dispersion(inst, 1, 0.5, RngState(0))
         with pytest.raises(InstanceError):
             qptas_dispersion(inst, 7, 0.5, RngState(0))
+
+    def test_winning_pair_reproduces_the_selection(self):
+        for seed in range(4):
+            inst = gen_random_euclidean(8, 2, seed=794 + seed)
+            res = qptas_dispersion(inst, 4, 0.5, RngState(seed))
+            assert res.origin == "ball-candidate"
+            u, v = res.diagnostics["best_pair"]
+            idx = res.diagnostics["best_pair_index"]
+            pairs = sorted(
+                ((a, b) for a in range(8) for b in range(8) if a != b),
+                key=lambda ab: (-inst.dist[ab], ab[0], ab[1]),
+            )
+            assert pairs[idx] == (u, v)
+            sub, ball = build_dks_from_ball(inst, 4, u, v, 0.5)
+            params = dks.SubDksParams(gamma=res.diagnostics["inner_epsilon"], mode="exact")
+            inner = dks.submodular_dks(sub, None, params, RngState(seed).child("pair", idx))
+            sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in inner.nodes}))
+            assert sel == res.selection
+
+    def test_winning_pair_is_none_without_a_ball_candidate(self):
+        inst = MetricInstance(n=4, dist=np.zeros((4, 4)))
+        res = qptas_dispersion(inst, 2, 0.5, RngState(0))
+        assert res.origin == "greedy"
+        assert res.diagnostics["fallback"] == "no-admissible-pair"
+        assert res.diagnostics["best_pair"] is None
+        assert res.diagnostics["best_pair_index"] is None
+
+
+@st.composite
+def euclidean_cases(draw):
+    n = draw(st.integers(3, 9))
+    dim = draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(0, 5), min_size=n * dim, max_size=n * dim))
+    pts = np.array(coords, dtype=float).reshape(n, dim)
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    p = draw(st.integers(2, n))
+    epsilon = draw(st.sampled_from([0.25, 0.5, 0.9]))
+    seed = draw(st.integers(0, 2**16))
+    return MetricInstance(n=n, dist=dist, points=pts), p, epsilon, seed
+
+
+class TestQptasProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(euclidean_cases())
+    def test_feasible_exact_value_between_greedy_and_optimum(self, case):
+        inst, p, epsilon, seed = case
+        res = qptas_dispersion(inst, p, epsilon, RngState(seed))
+        assert len(res.selection) == p
+        assert len(set(res.selection)) == p
+        assert all(0 <= v < inst.n for v in res.selection)
+        assert res.value == disp(res.selection, inst)
+        assert res.value >= disp(greedy_dispersion(inst, p), inst)
+        assert res.value <= brute_force_dispersion(inst, p)[1]
+        again = qptas_dispersion(inst, p, epsilon, RngState(seed))
+        assert (again.selection, again.value, again.origin) == (
+            res.selection, res.value, res.origin
+        )
+        assert again.diagnostics == res.diagnostics

@@ -321,3 +321,91 @@ class TestBruteForce:
         inst = gen_random_dks(12, 6, seed=2)
         with pytest.raises(GuardExceeded):
             brute_force_subdks(inst, guard=10)
+
+
+def zero_bonus(S):
+    return 0.0
+
+
+def direct_fixtures():
+    """(label, instance, gamma) cases spanning the one-cell direct path."""
+    cases = []
+    for seed in range(8):
+        n, k = 6 + seed % 5, 2 + seed % 4
+        for gamma in (1.0, 0.02):
+            cases.append((f"random-{seed}-{gamma}", gen_random_dks(n, k, seed=300 + seed), gamma))
+    for seed in range(6):
+        inst = gen_random_dks(9, 5, seed=320 + seed, forced_count=1 + seed % 3)
+        cases.append((f"forced-{seed}", inst, (1.0, 0.02)[seed % 2]))
+    for seed in range(5):
+        forced = seed % 3
+        inst = gen_random_dks(8, forced + 1, seed=340 + seed, forced_count=forced)
+        cases.append((f"k1-{seed}", inst, (1.0, 0.02)[seed % 2]))
+    for seed in range(5):
+        inst = gen_planted_dks(10, 4, seed=360 + seed)
+        cases.append((f"planted-{seed}", inst, (1.0, 0.02)[seed % 2]))
+    return cases
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+def near_duplicate_instance(n: int, k: int, seed: int) -> DksInstance:
+    """Tiny weights, as a ball of nearly coincident points gives: every
+    singleton anchor admits some candidate."""
+    g = np.random.default_rng(seed)
+    w = np.triu(g.random((n, n)) * 1e-3, 1)
+    return DksInstance(n=n, weights=w + w.T, forced=(), k=k)
+
+
+class TestDirectArgmax:
+    @pytest.mark.parametrize(
+        "inst, gamma",
+        [pytest.param(inst, gamma, id=label) for label, inst, gamma in direct_fixtures()],
+    )
+    def test_matches_anchored_scan_bit_for_bit(self, inst, gamma):
+        params = desk_params(gamma=gamma)
+        direct = submodular_dks(inst, None, params, RngState(1))
+        scan = submodular_dks(inst, zero_bonus, params, RngState(1))
+        assert direct.diagnostics.get("direct_argmax") is True
+        assert "direct_argmax" not in scan.diagnostics
+        assert direct.nodes == scan.nodes
+        assert bits(direct.value) == bits(scan.value)
+        assert bits(direct.den_value) == bits(scan.den_value)
+        assert bits(direct.h_value) == bits(scan.h_value)
+        assert direct.diagnostics["anchors_used"] == 0
+        assert direct.diagnostics["anchors_total"] == scan.diagnostics["anchors_used"]
+        same = lambda d: {k: v for k, v in d.items() if k not in ("anchors_used", "direct_argmax")}
+        assert same(direct.diagnostics) == same(scan.diagnostics)
+
+    def test_anchor_count_at_and_over_the_cap(self):
+        inst = gen_random_dks(6, 3, seed=7)
+        count = 6 + 15 + 20  # anchors of sizes 1..3 over six free nodes
+        at_cap = submodular_dks(inst, None, desk_params(enum_cap=count), RngState(0))
+        assert at_cap.diagnostics["direct_argmax"] is True
+        assert at_cap.diagnostics["anchors_total"] == count
+        over = submodular_dks(inst, None, desk_params(enum_cap=count - 1), RngState(0))
+        assert "direct_argmax" not in over.diagnostics
+        assert over.diagnostics["anchors_used"] == count - 1
+        assert over.diagnostics["anchor_cap_hit"] is True
+        assert over.diagnostics["fast_path"] is True
+
+    def test_two_cells_use_the_anchored_scan(self):
+        inst = gen_random_dks(8, 4, seed=12)
+        params = SubDksParams(gamma=1.0, s=2, t=2.0, enum_cap=10**5, mode="exact")
+        res = submodular_dks(inst, None, params, RngState(3))
+        assert "direct_argmax" not in res.diagnostics
+        assert res.diagnostics["anchors_used"] > 0
+
+    def test_every_singleton_admitting_falls_back_to_the_scan(self):
+        for seed in range(4):
+            inst = near_duplicate_instance(7, 2 + seed % 3, seed)
+            params = desk_params(gamma=1.0)
+            res = submodular_dks(inst, None, params, RngState(0))
+            scan = submodular_dks(inst, zero_bonus, params, RngState(0))
+            assert "direct_argmax" not in res.diagnostics
+            assert res.diagnostics["anchors_used"] == res.diagnostics["anchors_total"]
+            assert res.nodes == scan.nodes
+            assert bits(res.value) == bits(scan.value)
+            assert res.diagnostics == scan.diagnostics

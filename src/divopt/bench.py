@@ -259,6 +259,8 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
 
 
 def run_bench(spec: dict, base_dir) -> BenchReport:
+    if not isinstance(spec, dict):
+        raise InstanceError("bench spec must be a JSON object")
     base_dir = Path(base_dir)
     bundles = _load_bundles(spec, base_dir)
     algos = spec.get("algorithms")

@@ -443,7 +443,10 @@ def _cmd_check(args):
     if args.selection is not None:
         if not isinstance(obj, MetricInstance):
             raise UsageError("--selection needs a metric instance")
-        sel = [int(x) for x in args.selection.split(",") if x.strip() != ""]
+        try:
+            sel = [int(x) for x in args.selection.split(",") if x.strip() != ""]
+        except ValueError:
+            raise InstanceError("--selection: expected comma-separated point ids") from None
         if args.bonus:
             dinst = DiversificationInstance(obj, _load_bonus(args.bonus), len(sel))
             lemma = check_div_structural_lemma(dinst, sel)

@@ -131,6 +131,8 @@ def check_structural_lemma(inst: MetricInstance, p: int, Sopt) -> LemmaCheck:
 def _lemma_ratio(inst: MetricInstance, p: int, Sopt, objective) -> LemmaCheck:
     """Structural ratio with ``objective(S)`` as the numerator."""
     S = sorted(set(int(x) for x in Sopt))
+    if S and not 0 <= S[0] <= S[-1] < inst.n:
+        raise InstanceError(f"Sopt has points outside range({inst.n})")
     if len(S) != p or p < 2:
         raise InstanceError("Sopt must have exactly p >= 2 distinct points")
     if p == inst.n:
@@ -294,6 +296,8 @@ def brute_force_dispersion(inst: MetricInstance, p: int, guard: int = 1_000_000)
 
 def _brute_force(inst: MetricInstance, p: int, guard: int, objective):
     """Lex-first maximizer of ``objective`` over the p-subsets: (selection, value)."""
+    if not 0 <= p <= inst.n:
+        raise InstanceError("need 0 <= p <= n")
     count = math.comb(inst.n, p)
     if count > guard:
         raise GuardExceeded(f"brute force refuses {count} > {guard} subsets")

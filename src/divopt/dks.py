@@ -8,14 +8,19 @@ h over that partition matroid, repairs sizes, and finally keeps the best
 anchor's team.  With one partition cell and uncapped enumeration the anchor
 loop walks every feasible block, which is what the small-instance
 equivalence tests rely on; without a bonus it then reduces to a direct
-argmax of density over the blocks.
+argmax of density over the blocks.  With a bonus, the one-cell scan keeps
+the best of the anchors' winners, each anchor's winner being its first
+admitted block in (h, density, index) order.  The solver finds that block
+by walking the blocks by (value, index) and stopping at the first that
+some anchor admits while admitting no block ranked before it, instead of
+building the anchors x blocks x n admission tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,6 +30,7 @@ from .core import (
     GuardExceeded,
     InstanceError,
     RngState,
+    SubmodularSpec,
     as_value_oracle,
 )
 
@@ -51,6 +57,13 @@ def den(T: Iterable[int], inst: DksInstance) -> float:
     total = float(sub.sum() / 2.0)
     pairs = len(idx) * (len(idx) - 1) / 2.0
     return total / pairs
+
+
+def _bonus_oracle(h, inst: DksInstance):
+    """Value oracle of the bonus h; a spec must share the graph's ground set."""
+    if isinstance(h, SubmodularSpec) and h.n != inst.n:
+        raise InstanceError("bonus function ground set must match the dks instance")
+    return as_value_oracle(h)
 
 
 def _den_or_zero(T: Iterable[int], inst: DksInstance) -> float:
@@ -203,30 +216,59 @@ def _pad_to_size(base: set, kp: int, vp_sorted: Sequence[int]) -> tuple:
 
 def _enumerate_subsets(nodes: Sequence[int], lo: int, hi: int, cap: int):
     """Lexicographic subsets of sizes lo..hi, truncated at cap."""
-    out = []
-    hit = False
-    for size in range(lo, hi + 1):
-        if size > len(nodes):
-            break
-        for combo in combinations(nodes, size):
-            if len(out) >= cap:
-                hit = True
-                return out, hit
-            out.append(combo)
-    return out, hit
+    subsets = chain.from_iterable(combinations(nodes, size) for size in range(lo, hi + 1))
+    out = list(islice(subsets, cap + 1))
+    return out[:cap], len(out) > cap
+
+
+def _cond9(cmn, aprof, aself, gp: float) -> np.ndarray:
+    """Mean-weight half of ``candidate_admit``, candidates x all anchors.
+
+    Always one product over every anchor: a product of another shape may
+    round differently and flip an admission at the tolerance."""
+    return np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp
+
+
+def _cheb(aprof, cprof, gp: float) -> np.ndarray:
+    """Chebyshev half of ``candidate_admit``, anchors x candidates, chunked
+    to bound memory.  A max of absolute differences, so any slice of it has
+    the same bits as the full tensor."""
+    chunk = max(1, int(2_000_000 // max(1, cprof.size)))
+    rows = [
+        np.abs(cprof[None, :, :] - aprof[start : start + chunk, None, :]).max(axis=2) <= 2.0 * gp
+        for start in range(0, len(aprof), chunk)
+    ]
+    return np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
 
 
 def _admission(cprof, cmn, aprof, aself, order, gp: float) -> np.ndarray:
-    """Admission matrix (anchors in ``order``) x candidates of the one-cell
-    scan: the vectorized ``candidate_admit``, chunked to bound memory."""
-    cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp  # (c, a)
-    chunk = max(1, int(2_000_000 // max(1, cprof.size)))
-    rows = []
-    for start in range(0, len(order), chunk):
-        sel = order[start : start + chunk]
-        diff = np.abs(cprof[None, :, :] - aprof[sel, None, :]).max(axis=2)
-        rows.append((diff <= 2.0 * gp) & cond9[:, sel].T)
-    return np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
+    """Admission matrix (anchors in ``order``) x candidates: the vectorized
+    ``candidate_admit``."""
+    return _cheb(aprof[order], cprof, gp) & _cond9(cmn, aprof, aself, gp)[:, order].T
+
+
+def _walk_winner(cprof, cond9, aprof, corder, vals, gp: float):
+    """First candidate, by (-vals, index), that heads some anchor's admitted
+    list in ``corder``: the best of the anchored scan's per-anchor winners.
+
+    Candidate c wins iff some anchor admits c and admits no candidate ahead
+    of c in ``corder``.  ``cond9`` and ``aprof`` hold the scanned anchors in
+    order.  Returns (winner or None, mask of anchors seen admitting a
+    candidate).
+    """
+    rank = np.empty(len(corder), dtype=np.intp)
+    rank[corder] = np.arange(len(corder))
+    admits = np.zeros(len(aprof), dtype=bool)
+    for c in np.lexsort((np.arange(len(vals)), -vals)):
+        fans = np.flatnonzero(_cheb(aprof, cprof[c : c + 1], gp)[:, 0] & cond9[c])
+        admits[fans] = True
+        ahead = corder[: rank[c]]
+        if fans.size and ahead.size:
+            taken = _cheb(aprof[fans], cprof[ahead], gp) & cond9[np.ix_(ahead, fans)].T
+            fans = fans[~taken.any(axis=1)]
+        if fans.size:
+            return int(c), admits
+    return None, admits
 
 
 def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) -> DksResult:
@@ -236,7 +278,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     (1 - 1/e - gamma) h(OPT) + den(OPT) - gamma with theoretical parameters;
     the one-cell case (always at desk scale) is deterministic.
     """
-    horacle = as_value_oracle(h)
+    horacle = _bonus_oracle(h, inst)
     n = inst.n
     I = sorted(inst.forced)
     k = inst.k
@@ -384,21 +426,27 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
                 ch = np.zeros(len(cands))
             else:
                 ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
+            # Each anchor's winner is its first admitted candidate in corder;
+            # the scan keeps the best winner (value, then smallest T, which
+            # is the lowest candidate index) and also weighs the fallback
+            # team iff some anchor admits nothing.
             corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
-            admitted = _admission(cprof, cmn, aprof, aself, aorder, gp)
-            adm_ord = admitted[:, corder]
-            has = adm_ord.any(axis=1)
-            firsts = adm_ord.argmax(axis=1)
-            if not has.any():
-                consider(fallback_T, fallback_h, fallback_d)
-            else:
-                win = corder[firsts[has]]
-                vals = ch[win] + (cdens[win] if k >= 2 else 0.0)
-                top = float(vals.max())
-                for w in np.unique(win[vals >= top]):
-                    T = tuple(sorted(set(I) | set(cands[int(w)])))
-                    consider(T, float(ch[int(w)]), float(cdens[int(w)]) if k >= 2 else 0.0)
-                if (~has).any():
+            cond9 = _cond9(cmn, aprof, aself, gp)[:, aorder]
+            ap = aprof[aorder]
+            w, admits = _walk_winner(
+                cprof, cond9, ap, corder, ch + (cdens if k >= 2 else 0.0), gp
+            )
+            if w is not None:
+                T = tuple(sorted(set(I) | set(cands[w])))
+                consider(T, float(ch[w]), float(cdens[w]) if k >= 2 else 0.0)
+            # Without a winner every anchor is lonely; otherwise look for a
+            # lonely anchor only if the fallback team could change best.
+            fb = fallback_h + fallback_d
+            if best is None or fb > best[0] or (fb == best[0] and fallback_T < best[1]):
+                rest = np.flatnonzero(~admits)
+                if best is None or any(
+                    not (_cheb(ap[[a]], cprof, gp)[0] & cond9[:, a]).any() for a in rest
+                ):
                     consider(fallback_T, fallback_h, fallback_d)
     else:
         fell_back = False
@@ -461,7 +509,7 @@ def dks_additive(
 
 def brute_force_subdks(inst: DksInstance, h=None, guard: int = 1_000_000):
     """Exact max of h + den over k-sets containing the forced nodes."""
-    horacle = as_value_oracle(h)
+    horacle = _bonus_oracle(h, inst)
     I = sorted(inst.forced)
     kp = inst.k - len(I)
     Vp = sorted(set(range(inst.n)) - set(I))

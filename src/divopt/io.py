@@ -157,6 +157,8 @@ def _num_list(value, path: str) -> tuple[float, ...]:
 def _num_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise InstanceError(f"{path}: expected a list of rows")
+    if len({len(r) for r in value}) > 1:
+        raise InstanceError(f"{path}: rows must all have the same length")
     for i, row in enumerate(value):
         for j, x in enumerate(row):
             if type(x) is not float or not math.isfinite(x):  # skip the call for the common case

@@ -188,3 +188,46 @@ def test_dks_instance_validation():
 def test_metric_instance_shape_check():
     with pytest.raises(InstanceError):
         MetricInstance(3, np.zeros((2, 2)))
+
+
+def _weights_verdict(W):
+    """'ok' or the message of the first failing check among symmetry/diagonal."""
+    try:
+        DksInstance(len(W), np.array(W, dtype=float), k=1)
+    except InstanceError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("a, b, d", [
+    (0.5, 0.5, 0.0),
+    (0.5, 0.5 + 1e-12, 0.0),  # asymmetric inside the tolerance
+    (0.5, 0.5 + 1e-6, 0.0),
+    (0.5, 0.5, 1e-12),  # diagonal inside the tolerance
+    (0.5, 0.5, 1e-6),
+    (0.5, 0.5, -0.0),
+    (math.nan, math.nan, 0.0),
+    (0.5, 0.5, math.nan),
+    (math.inf, math.inf, 0.0),
+    (-math.inf, 0.5, 0.0),
+])
+def test_dks_weight_checks_match_allclose(a, b, d):
+    # The exact pre-tests only skip np.allclose; the verdict is the tolerance one.
+    W = np.array([[d, a], [b, 0.0]])
+    if not np.allclose(W, W.T, atol=1e-9):
+        want = "weights must be symmetric"
+    elif not np.allclose(np.diag(W), 0.0, atol=1e-9):
+        want = "weights must have a zero diagonal"
+    elif W.min() < -1e-9 or W.max() > 1.0 + 1e-9:
+        want = "weights must lie in [0, 1]"
+    else:
+        want = "ok"
+    assert _weights_verdict(W) == want
+
+
+def test_rng_generator_is_built_on_first_use():
+    rng = RngState(11).child("pair", 3)
+    eager = np.random.Generator(np.random.PCG64(rng.seed))
+    assert np.array_equal(rng.gen.random(5), eager.random(5))
+    assert rng.gen is rng.gen  # one stream, not rebuilt per access
+    assert np.array_equal(rng.gen.random(5), eager.random(5))

@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.core import (
     DksInstance,
     GuardExceeded,
     InstanceError,
     RngState,
+    SubmodularSpec,
     as_value_oracle,
 )
 from divopt.dks import (
+    DksResult,
     SubDksParams,
     brute_force_subdks,
     candidate_admit,
@@ -409,3 +413,212 @@ class TestDirectArgmax:
             assert res.nodes == scan.nodes
             assert bits(res.value) == bits(scan.value)
             assert res.diagnostics == scan.diagnostics
+
+
+def first_subsets(nodes, lo: int, hi: int, cap: int):
+    """The first ``cap`` subsets of sizes lo..hi in lexicographic order, and
+    whether there were more."""
+    subsets = [c for size in range(lo, hi + 1) for c in itertools.combinations(nodes, size)]
+    return subsets[:cap], len(subsets) > cap
+
+
+def tensor_scan(inst: DksInstance, h, params: SubDksParams):
+    """The one-cell bonus scan as it stood before the candidate walk.
+
+    It builds the full anchors x candidates x n admission tensor, takes each
+    anchor's first admitted candidate in (h, density, index) order, keeps
+    the best of those winners, and weighs the fallback team iff some anchor
+    admits nothing.  Returns the DksResult and what the scan saw.
+    """
+    horacle = as_value_oracle(h)
+    n, k = inst.n, inst.k
+    I = sorted(inst.forced)
+    kp = k - len(I)
+    Vp = sorted(set(range(n)) - set(I))
+    gp = 0.01 * params.gamma
+    t = float(kp)
+    lo = max(1, math.ceil((1.0 - gp) * t - 1e-9))
+    hi = math.floor((1.0 + gp) * t + 1e-9)
+    assert params.s == 1 and params.t is None and lo == hi == kp >= 1
+    diag = {"k_prime": kp, "s": 1, "t": t, "gamma_prime": gp, "size_window": (lo, hi),
+            "mode": params.mode}
+    cands, cand_cap_hit = first_subsets(Vp, lo, hi, params.enum_cap)
+    diag.update(candidates_per_part=[len(cands)], candidate_cap_hit=cand_cap_hit)
+    W = inst.weights
+    wI = float(W[np.ix_(I, I)].sum() / 2.0) if len(I) >= 2 else 0.0
+    crossI = W[:, I].sum(axis=1) if I else np.zeros(n)
+
+    def profiles(subsets):
+        B = np.zeros((len(subsets), n))
+        for row, sub in enumerate(subsets):
+            B[row, list(sub)] = 1.0
+        sizes = B.sum(axis=1)
+        BW = B @ W
+        w_tot = wI + B @ crossI + (BW * B).sum(axis=1) / 2.0
+        size_T = sizes + len(I)
+        pairs = size_T * (size_T - 1) / 2.0
+        dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
+        return BW / sizes[:, None], B / sizes[:, None], dens
+
+    def team(members):
+        T = tuple(sorted(set(I) | set(members)))
+        dv = (den(T, inst) if len(T) >= 2 else 0.0) if k >= 2 else 0.0
+        return T, float(horacle(frozenset(T))), dv
+
+    anchors, anchor_cap_pre = first_subsets(Vp, 1, hi, 10 * params.enum_cap)
+    aprof, amn, adens = profiles(anchors)
+    aself = (amn * aprof).sum(axis=1)
+    aorder = np.lexsort((np.arange(len(anchors)), -adens))
+    diag["anchors_total"] = len(anchors)
+    diag["anchor_cap_hit"] = len(aorder) > params.enum_cap or bool(anchor_cap_pre)
+    aorder = aorder[: params.enum_cap]
+    diag.update(anchors_used=len(aorder), fast_path=True, repairs=0)
+
+    cprof, cmn, cdens = profiles(cands)
+    ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
+    corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
+    cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp
+    cheb = np.abs(cprof[None, :, :] - aprof[aorder, None, :]).max(axis=2) <= 2.0 * gp
+    adm_ord = (cheb & cond9[:, aorder].T)[:, corder]
+    has = adm_ord.any(axis=1)
+    vals = ch + (cdens if k >= 2 else 0.0)
+    fallback = team(Vp[:kp])
+    seen = {"walk_first": int(np.lexsort((np.arange(len(cands)), -vals))[0]),
+            "lonely": bool((~has).any()), "winner": None, "fallback_tied": False,
+            "fallback_team": fallback[0], "fallback_value": fallback[1] + fallback[2]}
+    entries = []
+    if has.any():
+        win = corder[adm_ord.argmax(axis=1)[has]]
+        top = float(vals[win].max())
+        w = int(min(win[vals[win] >= top]))
+        seen["winner"] = w
+        entries.append((tuple(sorted(set(I) | set(cands[w]))), float(ch[w]),
+                        float(cdens[w]) if k >= 2 else 0.0))
+        seen["fallback_tied"] = seen["lonely"] and fallback[1] + fallback[2] == top
+    if seen["lonely"]:
+        entries.append(fallback)
+    best = None
+    for T, hv, dv in entries:
+        if best is None or hv + dv > best[0] or (hv + dv == best[0] and T < best[1]):
+            best = (hv + dv, T, hv, dv)
+    val, T, hv, dv = best
+    return DksResult(T, val, hv, dv, diag), seen
+
+
+def grid_case(seed: int):
+    """Weights and a modular bonus on a dyadic grid, so team values tie exactly."""
+    g = np.random.default_rng(seed)
+    n, k = int(g.integers(4, 7)), int(g.integers(2, 4))
+    step = (1 / 64, 1 / 32, 1 / 16)[seed % 3]
+    w = np.triu((0.5 if seed % 2 else 0.0) + g.integers(0, 3, (n, n)) * step, 1)
+    h = SubmodularSpec("modular", tuple(g.integers(0, 3, n) * step))
+    return DksInstance(n=n, weights=w + w.T, forced=(), k=k), h
+
+
+def tiny_modular(n: int, seed: int) -> SubmodularSpec:
+    """A bonus smaller than the density gaps of near-duplicate weights."""
+    return SubmodularSpec("modular", tuple(np.random.default_rng(seed).random(n) * 1e-4))
+
+
+# scenario -> what the old scan must have seen on the fixture
+SCENARIOS = {
+    "any": lambda seen, res: True,
+    "anchor-cap": lambda seen, res: res.diagnostics["anchor_cap_hit"],
+    "all-lonely": lambda seen, res: seen["winner"] is None,
+    "fallback-tie": lambda seen, res: seen["fallback_tied"] and seen["winner"] != 0,
+    "not-first": lambda seen, res: seen["winner"] not in (None, seen["walk_first"]),
+    "fallback-unweighed": lambda seen, res: not seen["lonely"]
+    and seen["fallback_value"] > res.value,
+    "fallback-wins": lambda seen, res: seen["winner"] not in (None, 0)
+    and res.nodes == seen["fallback_team"],
+}
+
+
+def walk_fixtures():
+    """(label, instance, bonus, params, scenario) cases for the candidate walk."""
+    cases = []
+    for seed in range(4):
+        inst = gen_random_dks(9, 5, seed=320 + seed, forced_count=1 + seed % 3)
+        h = gen_submodular(9, "coverage", seed=320 + seed, universe=6)
+        cases.append((f"forced-{seed}", inst, h, desk_params(gamma=(1.0, 0.02)[seed % 2]), "any"))
+    for seed in range(4):
+        forced = seed % 3
+        inst = gen_random_dks(8, forced + 1, seed=340 + seed, forced_count=forced)
+        h = gen_submodular(8, ("modular", "coverage")[seed % 2], seed=340 + seed, universe=5)
+        cases.append((f"k1-{seed}", inst, h, desk_params(gamma=(1.0, 0.02)[seed % 2]), "any"))
+    for seed in range(3):
+        # 92 anchors and 56 candidates over eight free nodes: only anchors are capped.
+        inst = gen_random_dks(8, 3, seed=360 + seed)
+        h = gen_submodular(8, "coverage", seed=360 + seed, universe=6)
+        cases.append((f"anchor-cap-{seed}", inst, h, desk_params(enum_cap=60), "anchor-cap"))
+    for seed in range(4):
+        inst = near_duplicate_instance(7, 2 + seed % 3, seed)
+        cases.append((f"near-duplicate-{seed}", inst, tiny_modular(7, seed),
+                      desk_params(gamma=(1.0, 0.02)[seed % 2]), "any"))
+    for seed in range(3):
+        inst = gen_random_dks(8, 3, seed=380 + seed)
+        h = gen_submodular(8, "coverage", seed=380 + seed, universe=6)
+        cases.append((f"all-lonely-{seed}", inst, h, desk_params(gamma=0.02, enum_cap=1),
+                      "all-lonely"))
+    inst, h = grid_case(70)
+    cases.append(("fallback-tie", inst, h, desk_params(), "fallback-tie"))
+    inst, h = grid_case(730)
+    cases.append(("fallback-tie-2", inst, h, desk_params(), "fallback-tie"))
+    inst, h = grid_case(70)
+    cases.append(("not-first-capped", inst, h, desk_params(enum_cap=7), "not-first"))
+    inst = near_duplicate_instance(6, 3, 1)
+    cases.append(("not-first-near-duplicate", inst, tiny_modular(6, 1), desk_params(gamma=0.02),
+                  "not-first"))
+    for seed, cap in ((22, 3), (51, 7)):
+        # Capped scans whose lonely anchors all sit past the walk's winner.
+        inst, h = grid_case(seed)
+        cases.append((f"fallback-wins-{seed}", inst, h, desk_params(enum_cap=cap),
+                      "fallback-wins"))
+    for n in (6, 7):
+        # The fallback team beats the winner, but every anchor admits a candidate.
+        inst = near_duplicate_instance(n, 2, 1)
+        cases.append((f"fallback-unweighed-{n}", inst, tiny_modular(n, 1), desk_params(),
+                      "fallback-unweighed"))
+    return cases
+
+
+class TestCandidateWalk:
+    @pytest.mark.parametrize(
+        "inst, h, params, scenario",
+        [pytest.param(*case[1:], id=case[0]) for case in walk_fixtures()],
+    )
+    def test_matches_tensor_scan_bit_for_bit(self, inst, h, params, scenario):
+        want, seen = tensor_scan(inst, h, params)
+        assert SCENARIOS[scenario](seen, want)
+        got = submodular_dks(inst, h, params, RngState(1))
+        assert got.nodes == want.nodes
+        assert bits(got.value) == bits(want.value)
+        assert bits(got.h_value) == bits(want.h_value)
+        assert bits(got.den_value) == bits(want.den_value)
+        assert got.diagnostics == want.diagnostics
+
+    def test_fallback_tie_keeps_the_smaller_team(self):
+        inst, h = grid_case(70)
+        res = submodular_dks(inst, h, desk_params(), RngState(0))
+        assert res.nodes == (0, 1)
+        assert res.value == h.value({0, 1}) + den((0, 1), inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 7),
+        k=st.integers(1, 4),
+        forced=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["coverage", "modular"]),
+        gamma=st.sampled_from([1.0, 0.3, 0.02]),
+    )
+    def test_matches_reference_property(self, n, k, forced, seed, kind, gamma):
+        k = min(k, n)
+        inst = gen_random_dks(n, k, seed=seed, forced_count=min(forced, k - 1))
+        h = gen_submodular(n, kind, seed=seed, universe=5)
+        res = submodular_dks(inst, h, desk_params(gamma=gamma), RngState(seed))
+        want = reference_fast_path(inst, h, gamma)
+        assert res.nodes == want[1]
+        assert res.value == pytest.approx(want[0], abs=1e-12)
+        assert res.h_value == pytest.approx(want[2])
+        assert res.den_value == pytest.approx(want[3])

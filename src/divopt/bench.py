@@ -182,6 +182,8 @@ def _is_num(value) -> bool:
 
 # accepted params: key -> (check, expected JSON type); null keeps a None default
 _INT = (_is_int, "an integer")
+_POS_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _STR = (lambda v: isinstance(v, str), "a string")
 _INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
 _NUM_OR_NULL = (lambda v: v is None or _is_num(v), "a number or null")
@@ -189,7 +191,7 @@ _BALL = {"inner_mode": _STR, "enum_cap": _INT, "inner_gamma": _NUM_OR_NULL, "exa
 _DKS = {"s": _INT_OR_NULL, "t": _NUM_OR_NULL, "mode": _STR, "enum_cap": _INT, "exact_budget": _INT}
 _DCG = {
     "u": _INT_OR_NULL, "gamma": _NUM_OR_NULL, "eta": _NUM_OR_NULL, "trials": _INT_OR_NULL,
-    "prefix_cap": _INT, "max_cut_rounds": _INT,
+    "prefix_cap": _POS_INT, "max_cut_rounds": _NONNEG_INT,
 }
 _NONE: dict = {}
 

@@ -19,6 +19,7 @@ __all__ = [
     "GuardExceeded",
     "RngState",
     "derive_seed",
+    "child_uniforms",
     "ValidationReport",
     "MetricInstance",
     "SetSystemInstance",
@@ -68,31 +69,152 @@ def derive_seed(seed: int, *keys) -> int:
     return (int(words[0]) | (int(words[1]) << 32)) & _MASK64
 
 
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64 seeding,
+# restated over arrays so that many child streams are derived in one pass.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_SHIFT = np.uint32(16)
+
+
+def _seed_state(entropy: np.ndarray, keys: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy=e, spawn_key=row).generate_state(n_words, np.uint32)``
+    for every row, as a (B, n_words) uint32 array.
+
+    ``entropy`` holds uint64 values, one per row or one for all; ``keys`` is
+    (B, K) uint64.  Entropy fills the first pool words and is zero-padded to
+    four (with no spawn key SeedSequence hashes zeros there instead, which is
+    the same); each key then adds one word, or two from 2^32 on.
+    """
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        value = value ^ np.uint32(hc)
+        hc = hc * _MULT_A & _MASK32
+        value = value * np.uint32(hc)
+        return value ^ (value >> _SHIFT)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> _SHIFT)
+
+    low, high = entropy & np.uint64(_MASK32), entropy >> np.uint64(32)
+    zero = np.zeros_like(entropy, dtype=np.uint32)
+    words = (low.astype(np.uint32), high.astype(np.uint32), zero, zero)
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    # Key words packed to the left of each row, so that the j-th word of every
+    # row meets the same hash constant; rows with fewer words stop early.
+    B, K = keys.shape
+    low, high = keys & np.uint64(_MASK32), keys >> np.uint64(32)
+    count = 1 + (high > 0)
+    end = np.cumsum(count, axis=1)
+    packed = np.zeros((B, 2 * K), dtype=np.uint32)
+    rows = np.arange(B)[:, None]
+    packed[rows, end - count] = low
+    r, c = np.nonzero(high)
+    packed[r, end[r, c] - 1] = high[r, c]
+    length = end[:, -1] if K else np.zeros(B, dtype=np.int64)
+    for j in range(int(length.max(initial=0))):
+        live, word = j < length, packed[:, j]
+        for dst in range(4):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(word)), pool[dst])
+
+    hc = _INIT_B
+    out = np.empty((B, n_words), dtype=np.uint32)
+    for i in range(n_words):
+        value = pool[i % 4] ^ np.uint32(hc)
+        hc = hc * _MULT_B & _MASK32
+        value = value * np.uint32(hc)
+        out[:, i] = value ^ (value >> _SHIFT)
+    return out
+
+
+def child_uniforms(seed: int, keys, size: int) -> np.ndarray:
+    """``RngState(seed).child(*row).gen.random(size)`` for every row of the
+    (B, K) integer array ``keys``, as one (B, size) array, bit for bit.
+
+    Keys are taken mod 2^64 as ``child`` takes them (pass uint64 for keys
+    from 2^63 on).  The child seeds and PCG64 states of all rows are hashed
+    at once; each row's state is then set on one local PCG64 and drawn from.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise TypeError(f"keys must be an integer array, got dtype {keys.dtype}")
+    if keys.ndim != 2:
+        raise ValueError(f"keys must be a (B, K) array, got shape {keys.shape}")
+    keys = keys.astype(np.uint64)  # wraps negatives as child's & _MASK64 does
+    parent = np.array([int(seed) & _MASK64], dtype=np.uint64)
+    halves = _seed_state(parent, keys, 2).astype(np.uint64)
+    seeds = halves[:, 0] | (halves[:, 1] << np.uint64(32))
+    halves = _seed_state(seeds, keys[:, :0], 8).astype(np.uint64)
+    state_words = halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(keys), size))
+    for row, (s_high, s_low, i_high, i_low) in enumerate(state_words.tolist()):
+        # pcg64_set_seed: inc = 2 * initseq + 1; state = step(step(0) + initstate).
+        inc = ((i_high << 65) | (i_low << 1) | 1) & _MASK128
+        state = (((s_high << 64) | s_low) + inc) * _PCG_MULT + inc & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.random(size, out=out[row])
+    return out
+
+
 class RngState:
     """A 64-bit seed plus the PCG64 generator it determines.
 
     All randomized solvers take one of these explicitly; identical seeds give
     identical draw sequences on every platform.  ``child(*keys)`` derives an
     independent stream for a sub-task, so per-trial work is reproducible no
-    matter how the surrounding loops are executed.
+    matter how the surrounding loops are executed: the child seed is the
+    first 64 bits of ``SeedSequence(entropy=seed, spawn_key=keys)`` and the
+    child stream is ``PCG64`` seeded with it.  A child checks its keys at once
+    but hashes its seed only when ``seed`` or ``gen`` is first read, since
+    many child streams are never drawn from.  ``child_uniforms`` derives and
+    draws from many children of one seed in one vectorized batch, with the
+    same numbers; a differential test pins that batch to numpy's own
+    SeedSequence and PCG64.
     """
 
-    __slots__ = ("seed", "_gen")
+    __slots__ = ("_seed", "_gen", "_parent")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self._seed = int(seed) & _MASK64
         self._gen = None
+        self._parent = None
+
+    @property
+    def seed(self) -> int:
+        if self._seed is None:
+            self._seed = derive_seed(*self._parent)
+        return self._seed
 
     @property
     def gen(self) -> np.random.Generator:
-        """The stream's generator, built on first use: many child streams
-        are never drawn from."""
+        """The stream's generator, built on first use."""
         if self._gen is None:
             self._gen = np.random.Generator(np.random.PCG64(self.seed))
         return self._gen
 
     def child(self, *keys) -> "RngState":
-        return RngState(derive_seed(self.seed, *keys))
+        kid = RngState.__new__(RngState)
+        kid._seed, kid._gen = None, None
+        kid._parent = (self.seed, *(_key_to_int(k) for k in keys))
+        return kid
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed})"

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import GuardExceeded, InstanceError, RngState, SetSystemInstance
+from .core import GuardExceeded, InstanceError, RngState, SetSystemInstance, child_uniforms
 from .lp import Constraint, CutLoopResult, LinearProgram, solve_with_cuts
 
 __all__ = [
@@ -244,6 +244,8 @@ class DcgLpResult:
 
 def solve_dcg_lp(inst: SetSystemInstance, f: GainFunction, max_rounds: int = 80) -> DcgLpResult:
     """Build the relaxation and run constraint generation to completion."""
+    if max_rounds < 0:
+        raise InstanceError("max_rounds must be non-negative")
     lp, layout = build_dcg_lp(inst, f)
 
     def oracle(flat):
@@ -292,9 +294,13 @@ def _round_orders(
     inst: SetSystemInstance,
     f: GainFunction,
     params: RoundingParams,
-    rngs: Sequence[RngState],
+    rng: RngState,
+    keys: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Local orders of one randomized rounding pass per stream, as (len(rngs), n).
+    """Local orders of one randomized rounding pass per stream, as (streams, n).
+
+    The streams are ``rng`` itself when ``keys`` is None, else
+    ``rng.child(*row)`` for each row of the (B, K) ``keys``, drawn in one batch.
 
     Phase i targets t_i = min(n, 2^i); element e joins the phase's block
     independently with probability min(1, z_{e,i} / (gamma * f(t_i))) where
@@ -302,7 +308,7 @@ def _round_orders(
     concatenated (ascending index inside a block, repeats skipped) and any
     leftover elements are appended in ascending order, so each row is a full
     permutation: the elements sorted by (first joining phase, index).  Each
-    stream draws its phases x n uniforms phase by phase in one call.
+    stream draws its phases x n uniforms phase by phase.
     """
     n = inst.n
     xstar = np.asarray(xstar, dtype=float)
@@ -311,10 +317,14 @@ def _round_orders(
     targets = [min(n, 2**i) for i in range(1, phases + 1)]
     z = np.array([xstar[:, :t_i].sum(axis=1) for t_i in targets]).reshape(phases, n)
     p = np.minimum(1.0, z / (params.gamma * np.array([f(t_i) for t_i in targets]))[:, None])
-    draws = np.array([r.gen.random(phases * n) for r in rngs]).reshape(len(rngs), phases, n)
+    if keys is None:
+        draws = rng.gen.random((1, phases * n))
+    else:
+        draws = child_uniforms(rng.seed, keys, phases * n)
+    draws = draws.reshape(len(draws), phases, n)
     # The always-true last row stands for "never joined"; it is also the only
     # row when n == 1 leaves no phases, so every element gets first phase 0.
-    never = np.ones((len(rngs), 1, n), dtype=bool)
+    never = np.ones((len(draws), 1, n), dtype=bool)
     first = np.concatenate([draws < p, never], axis=1).argmax(axis=1)
     return np.argsort(first, axis=1, kind="stable")
 
@@ -328,7 +338,7 @@ def round_lp(
     rng: RngState,
 ) -> Ranking:
     """One randomized rounding pass over doubling prefixes (see _round_orders)."""
-    return Ranking.from_order(_round_orders(xstar, inst, f, params, [rng])[0], inst)
+    return Ranking.from_order(_round_orders(xstar, inst, f, params, rng)[0], inst)
 
 
 def tstar_bound(ystar: np.ndarray, inst: SetSystemInstance, f: GainFunction, eta: float) -> float:
@@ -445,9 +455,11 @@ def ptas_dcg(
     u = 2, trials = 200.  Small epsilon is the analyzed regime; larger values
     are accepted only together with explicit overrides.  Per-trial randomness
     comes from child streams keyed by (prefix index, trial index), so results
-    do not depend on evaluation order.  The trials of one prefix are rounded
-    and scored as one batch; diagnostics ``best_prefix`` and ``best_trial``
-    name the winner (``best_trial`` is None when no rounding produced it).
+    do not depend on evaluation order.  The trials of one prefix draw their
+    streams, and are rounded and scored, as one batch; diagnostics
+    ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is None
+    when no rounding produced it), ``rounding_streams`` counts the streams
+    drawn and ``randomness_used`` says whether there were any.
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -463,6 +475,10 @@ def ptas_dcg(
     u = 2 if u is None else int(u)
     if u < 1:
         raise InstanceError("u must be at least 1")
+    if prefix_cap < 1:
+        raise InstanceError("prefix_cap must be at least 1")
+    if max_cut_rounds < 0:
+        raise InstanceError("max_cut_rounds must be non-negative")
 
     u_eff = min(u, n)
     cap_hit = False
@@ -486,6 +502,8 @@ def ptas_dcg(
         "cut_rounds": 0,
         "cut_clean": True,
         "prefixes": prefix_count(u_eff),
+        "rounding_streams": 0,
+        "randomness_used": False,
     }
 
     best_order: tuple | None = None
@@ -522,8 +540,9 @@ def ptas_dcg(
         if res is None:
             orders = np.array([prefix + tuple(rest)])
         else:
-            streams = [rng.child(pidx, trial) for trial in range(params.trials)]
-            local = _round_orders(res.x, res_inst, res_gain, params, streams)
+            keys = np.column_stack((np.full(params.trials, pidx), np.arange(params.trials)))
+            local = _round_orders(res.x, res_inst, res_gain, params, rng, keys)
+            diagnostics["rounding_streams"] += params.trials
             orders = np.hstack([np.tile(prefix, (len(local), 1)), np.asarray(rest)[local]])
         row, val = _best_candidate(orders, sets, gains)
         order = tuple(int(e) for e in orders[row])
@@ -534,6 +553,7 @@ def ptas_dcg(
 
     ranking = Ranking.from_order(best_order, inst)
     diagnostics["mode"] = "prefix-lp-rounding"
+    diagnostics["randomness_used"] = diagnostics["rounding_streams"] > 0
     return RankSolution(ranking, best_value, float(lp_bound), diagnostics)
 
 

@@ -135,6 +135,25 @@ class TestSolvers:
             assert key in lp
         assert lp["clean"] is True
 
+    @pytest.mark.parametrize("flags", [
+        ["--prefix-cap", "0"],
+        ["--prefix-cap", "-1"],
+        ["--max-cut-rounds", "-1"],
+        ["--max-cut-rounds", "-1", "--dump-lp", "lp.json"],
+    ], ids=["prefix-cap-0", "prefix-cap-negative", "cut-rounds-negative", "cut-rounds-lp-only"])
+    def test_solve_dcg_bad_budget_is_exit_2_without_traceback(self, tmp_path, capsys, flags):
+        ss = gen_file(tmp_path, capsys, "ss.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
+        env = dict(os.environ, PYTHONPATH=str(Path(divopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divopt.cli", "solve-dcg", "--in", str(ss),
+             "--epsilon", "0.3", "--u", "2", "--gamma", "0.05", "--trials", "5", *flags],
+            capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "lp.json").exists()
+
     def test_solve_dispersion_json(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",
                      "gen", "euclidean", "--n", "8", "--seed", "4")

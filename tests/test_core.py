@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divopt import core
 from divopt import (
     DksInstance,
     InstanceError,
@@ -12,6 +15,7 @@ from divopt import (
     RngState,
     SetSystemInstance,
     SubmodularSpec,
+    child_uniforms,
     derive_seed,
     disp,
     disp_cross,
@@ -231,3 +235,87 @@ def test_rng_generator_is_built_on_first_use():
     assert np.array_equal(rng.gen.random(5), eager.random(5))
     assert rng.gen is rng.gen  # one stream, not rebuilt per access
     assert np.array_equal(rng.gen.random(5), eager.random(5))
+
+
+def test_rng_child_checks_keys_at_once_and_hashes_on_first_read(monkeypatch):
+    with pytest.raises(TypeError):
+        RngState(1).child(2.5)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(core, "derive_seed", counting)
+    kid = RngState(-5).child("pair", 2**40, -1)
+    assert calls == []
+    assert kid.seed == derive_seed(-5, "pair", 2**40, -1)
+    kid.gen.random(3)
+    grandchild = kid.child(7)
+    assert len(calls) == 1
+    assert grandchild.seed == derive_seed(kid.seed, 7)
+
+
+# Seeds and keys at the word boundaries of numpy's SeedSequence: one 32-bit
+# word, two words, the 64-bit ends, and (seeds only) values RngState masks.
+_WORD = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+_SEED = st.one_of(_WORD, st.integers(-(2**70), -1), st.integers(2**64, 2**80))
+
+
+@st.composite
+def _key_batches(draw):
+    width = draw(st.integers(0, 3))
+    return draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=6))
+
+
+class TestChildUniformsMatchesNumpy:
+    """The batched streams are numpy's SeedSequence and PCG64 restated; if
+    numpy changes either algorithm, these comparisons fail."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SEED, _key_batches(), st.integers(1, 10))
+    def test_seed_sequence_state(self, seed, rows, n_words):
+        entropy = int(seed) & (2**64 - 1)
+        got = core._seed_state(
+            np.array([entropy], dtype=np.uint64), np.array(rows, dtype=np.uint64), n_words
+        )
+        for row, words in zip(rows, got):
+            ss = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(row))
+            assert np.array_equal(words, ss.generate_state(n_words, np.uint32))
+        # One entropy per row and no spawn key, as in PCG64 seeding.
+        seeds = [row[0] if row else entropy for row in rows]
+        got = core._seed_state(
+            np.array(seeds, dtype=np.uint64), np.zeros((len(rows), 0), dtype=np.uint64), n_words
+        )
+        for seed_row, words in zip(seeds, got):
+            ss = np.random.SeedSequence(seed_row)
+            assert np.array_equal(words, ss.generate_state(n_words, np.uint32))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SEED, _key_batches(), st.integers(0, 20))
+    def test_uniforms(self, seed, rows, size):
+        got = child_uniforms(seed, np.array(rows, dtype=np.uint64), size)
+        assert got.shape == (len(rows), size)
+        for row, draws in zip(rows, got):
+            numpy_stream = np.random.Generator(np.random.PCG64(derive_seed(seed, *row)))
+            assert np.array_equal(draws, numpy_stream.random(size))
+            assert np.array_equal(draws, RngState(seed).child(*row).gen.random(size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEED, st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
+    def test_signed_keys_wrap_as_child_keys(self, seed, column):
+        keys = np.array(column, dtype=np.int64)[:, None]
+        want = np.array([RngState(seed).child(k).gen.random(6) for k in column])
+        assert np.array_equal(child_uniforms(seed, keys, 6), want)
+
+    def test_rejects_bad_keys(self):
+        with pytest.raises(TypeError):
+            child_uniforms(1, [(2.5,)], 3)
+        with pytest.raises(TypeError):
+            child_uniforms(1, [("pair", 3)], 3)
+        with pytest.raises(ValueError):
+            child_uniforms(1, np.array([1, 2]), 3)

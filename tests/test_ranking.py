@@ -468,8 +468,8 @@ class TestBatchedTrials:
         res = solve_dcg_lp(inst, DCG_STANDARD)
         params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
         rng = RngState(seed)
-        streams = [rng.child(seed, trial) for trial in range(25)]
-        rows = _round_orders(res.x, inst, DCG_STANDARD, params, streams)
+        keys = np.array([(seed, trial) for trial in range(25)])
+        rows = _round_orders(res.x, inst, DCG_STANDARD, params, rng, keys)
         assert rows.shape == (25, n)
         for trial, row in enumerate(rows):
             single = round_lp(res.x, res.y, inst, DCG_STANDARD, params, rng.child(seed, trial))
@@ -504,3 +504,42 @@ class TestBatchedTrials:
         res = ptas_dcg(inst, 0.3, RngState(0), u=9, gamma=0.05, trials=5)
         assert res.diagnostics["best_prefix"] == list(res.ranking.order)
         assert res.diagnostics["best_trial"] is None
+
+
+class TestRandomnessDiagnostics:
+    def test_rounding_prefixes_count_their_streams(self):
+        inst = gen_setsystem(5, 3, 2, seed=9)
+        res = ptas_dcg(inst, 0.3, RngState(1), u=2, gamma=0.05, trials=7)
+        rounded = 0
+        for prefix in itertools.permutations(range(5), 2):
+            _, res_inst, _ = _prefix_state(inst, prefix, DCG_STANDARD)
+            rounded += res_inst is not None and res_inst.m > 0
+        assert rounded > 0
+        assert res.diagnostics["rounding_streams"] == 7 * rounded
+        assert res.diagnostics["randomness_used"] is True
+
+    def test_exhaustive_mode_uses_no_randomness(self):
+        inst = gen_setsystem(4, 3, 2, seed=612)
+        res = ptas_dcg(inst, 0.3, RngState(0), u=9, gamma=0.05, trials=5)
+        assert res.diagnostics["mode"] == "exhaustive"
+        assert res.diagnostics["rounding_streams"] == 0
+        assert res.diagnostics["randomness_used"] is False
+
+    def test_no_lp_residuals_use_no_randomness(self):
+        # Every two-element prefix covers both sets, so no residual needs an LP.
+        inst = SetSystemInstance(n=3, sets=(((0, 1, 2), 2), ((0, 1, 2), 1)))
+        res = ptas_dcg(inst, 0.3, RngState(0), u=2, gamma=0.05, trials=5)
+        assert res.diagnostics["mode"] == "prefix-lp-rounding"
+        assert res.diagnostics["best_trial"] is None
+        assert res.diagnostics["rounding_streams"] == 0
+        assert res.diagnostics["randomness_used"] is False
+
+
+def test_budget_arguments_are_checked():
+    inst = gen_setsystem(5, 3, 2, seed=9)
+    for kwargs in ({"prefix_cap": 0}, {"prefix_cap": -1}, {"max_cut_rounds": -1}):
+        with pytest.raises(InstanceError):
+            ptas_dcg(inst, 0.3, RngState(0), u=2, gamma=0.05, trials=2, **kwargs)
+    with pytest.raises(InstanceError):
+        solve_dcg_lp(inst, DCG_STANDARD, max_rounds=-1)
+    assert solve_dcg_lp(inst, DCG_STANDARD, max_rounds=0).loop.rounds == 0

@@ -405,9 +405,11 @@ class TestBench:
             ({"path": 5}, {}, [1], '"path"'),
             ({"bonus": 5}, {}, [1], '"bonus"'),
             ({}, {"params": {"enum_cap": "x"}}, [1], "enum_cap"),
+            ({}, {"name": "ptas-dcg", "params": {"prefix_cap": 0}}, [1], "prefix_cap"),
+            ({}, {"name": "ptas-dcg", "params": {"max_cut_rounds": -1}}, [1], "max_cut_rounds"),
         ],
         ids=["p-string", "seed-string", "unknown-param", "params-list", "path-int",
-             "bonus-int", "param-mistyped"],
+             "bonus-int", "param-mistyped", "prefix-cap-zero", "cut-rounds-negative"],
     )
     def test_malformed_spec_names_the_key(self, tmp_path, instance, algorithm, seeds, key):
         self.write_fixtures(tmp_path)

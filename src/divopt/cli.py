@@ -239,6 +239,17 @@ def _cmd_convert(args) -> str:
 
 def _cmd_solve_dcg(args) -> str:
     inst = _load_as(args.infile, SetSystemInstance, "setsystem")
+    res = ptas_dcg(
+        inst,
+        args.epsilon,
+        RngState(args.seed),
+        u=args.u,
+        gamma=args.gamma,
+        eta=args.eta,
+        trials=args.trials,
+        prefix_cap=args.prefix_cap,
+        max_cut_rounds=args.max_cut_rounds,
+    )
     if args.dump_lp:
         lpres = solve_dcg_lp(inst, DCG_STANDARD, max_rounds=args.max_cut_rounds)
         Path(args.dump_lp).write_text(
@@ -255,17 +266,6 @@ def _cmd_solve_dcg(args) -> str:
             ),
             encoding="utf-8",
         )
-    res = ptas_dcg(
-        inst,
-        args.epsilon,
-        RngState(args.seed),
-        u=args.u,
-        gamma=args.gamma,
-        eta=args.eta,
-        trials=args.trials,
-        prefix_cap=args.prefix_cap,
-        max_cut_rounds=args.max_cut_rounds,
-    )
     if args.format == "csv":
         return _solve_csv(args.infile, "ptas-dcg", args.seed, args.epsilon, res.value)
     return _result_json(

@@ -7,17 +7,20 @@ weight profile matches Q's, picks one block per partition cell by maximizing
 h over that partition matroid, repairs sizes, and finally keeps the best
 anchor's team.  With one partition cell and uncapped enumeration the anchor
 loop walks every feasible block, which is what the small-instance
-equivalence tests rely on; without a bonus it then reduces to a direct
-argmax of density over the blocks.  With a bonus, the one-cell scan keeps
+equivalence tests rely on.  There, with or without a bonus, the scan keeps
 the best of the anchors' winners, each anchor's winner being its first
 admitted block in (h, density, index) order.  The solver finds that block
 by walking the blocks by (value, index) and stopping at the first that
 some anchor admits while admitting no block ranked before it, instead of
-building the anchors x blocks x n admission tensor.
+building the anchors x blocks x n admission tensor.  The top block wins
+outright, with no anchor built, when every anchor is scanned, gamma'
+clears the rounding error of its own anchor's admission test, and that
+anchor surely rejects every block ahead of it in (h, density, index) order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice, product
@@ -224,9 +227,11 @@ def _enumerate_subsets(nodes: Sequence[int], lo: int, hi: int, cap: int):
 def _cond9(cmn, aprof, aself, gp: float) -> np.ndarray:
     """Mean-weight half of ``candidate_admit``, candidates x all anchors.
 
-    Always one product over every anchor: a product of another shape may
-    round differently and flip an admission at the tolerance."""
-    return np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp
+    Always one product over every anchor, worked in place: a product of
+    another shape may round differently and flip an admission at the tolerance."""
+    gap = cmn @ aprof.T
+    gap -= aself[None, :]
+    return np.abs(gap, out=gap) <= 4.0 * gp
 
 
 def _cheb(aprof, cprof, gp: float) -> np.ndarray:
@@ -241,10 +246,22 @@ def _cheb(aprof, cprof, gp: float) -> np.ndarray:
     return np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
 
 
-def _admission(cprof, cmn, aprof, aself, order, gp: float) -> np.ndarray:
-    """Admission matrix (anchors in ``order``) x candidates: the vectorized
-    ``candidate_admit``."""
-    return _cheb(aprof[order], cprof, gp) & _cond9(cmn, aprof, aself, gp)[:, order].T
+def _own_anchor_stops_walk(cprof, cmn, c: int, ahead, gp: float) -> bool:
+    """Whether candidate c's own anchor, in the anchored scan, surely admits
+    c and rejects every candidate in ``ahead``, reading the anchor off c's row.
+
+    Row and scan each round an exact sum of at most n terms of total size
+    at most 1 (weights lie in [0, 1]; membership rows sum to 1) to within
+    n u (u = 2**-53): the Chebyshev readings differ by at most 2 (n + 1) u,
+    the mean-weight ones by (8 n + 2) u.  gp above n 1e-14 (about 90 n u)
+    makes anchor c admit c, and a miss by more than that is sure.
+    """
+    slack, prof = cprof.shape[1] * 1e-14, cprof[c]
+    if gp <= slack or not len(ahead):
+        return gp > slack
+    far = np.abs(cprof[ahead] - prof).max(axis=1) > 2.0 * gp + slack
+    off = np.abs(cmn[ahead] @ prof - cmn[c] @ prof) > 4.0 * gp + slack
+    return bool((far | off).all())
 
 
 def _walk_winner(cprof, cond9, aprof, corder, vals, gp: float):
@@ -361,81 +378,64 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         if best is None or val > best[0] or (val == best[0] and T < best[1]):
             best = (val, T, hv, dv)
 
-    use_fast = s == 1 and lo == kp and hi == kp
-    cands = part_cands[0] if use_fast else []
-    if cands:
-        _, _, cprof, cmn, cdens = batch_profiles(cands)
-
-    # Direct argmax: with no bonus, one cell and every anchor scanned, each
-    # candidate admits itself as anchor and heads the density order, so the
-    # scan's winner is the lexicographically first densest candidate.  The
-    # scan also weighs the fallback team iff some anchor admits nothing; a
-    # singleton anchor that admits nothing settles that, otherwise (and for
-    # every other case) the anchored scan below runs.
+    # Anchors are the subsets of the free nodes of sizes 1..hi.  The scan
+    # enumerates the first 10 * enum_cap of them and uses the enum_cap
+    # densest, so its counts follow in closed form.
     n_anchors = sum(math.comb(len(Vp), r) for r in range(1, hi + 1))
-    if cands and h is None and n_anchors <= params.enum_cap:
-        # A singleton anchor {v} has profile W[v] and self term W[v, v],
-        # bit for bit what batch_profiles gives it.
-        sprof, sself = W[Vp], W[Vp, Vp]
-        lonely = kp >= 2 and any(
-            not _admission(cprof, cmn, sprof, sself, [i], gp).any() for i in range(len(Vp))
-        )
-        if kp == 1 or lonely:
-            w = int(np.argmax(cdens))
-            T = tuple(sorted(set(I) | set(cands[w])))
-            consider(T, 0.0, float(cdens[w]) if k >= 2 else 0.0)
-            if lonely:
-                consider(fallback_T, fallback_h, fallback_d)
-            diagnostics.update(
-                {"anchors_total": n_anchors, "anchor_cap_hit": False, "anchors_used": 0,
-                 "fast_path": True, "direct_argmax": True, "repairs": 0}
-            )
-            val, T, hv, dv = best
-            return DksResult(T, val, hv, dv, diagnostics)
-
-    anchors, anchor_cap_pre = ([], False)
-    if hi >= 1:
-        anchors, anchor_cap_pre = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
-    diagnostics["anchors_total"] = len(anchors)
-
-    if not anchors:
+    diagnostics["anchors_total"] = min(n_anchors, 10 * params.enum_cap)
+    if not n_anchors:
         diagnostics["anchors_used"] = 0
         diagnostics["no_anchor_fallback"] = True
         return DksResult(
             fallback_T, fallback_h + fallback_d, fallback_h, fallback_d, diagnostics
         )
-
-    Ba, asz, aprof, amn, adens = batch_profiles(anchors)
-    aself = (amn * aprof).sum(axis=1)
-
-    # Heuristic processing order under the cap: best anchor density first.
-    aorder = np.lexsort((np.arange(len(anchors)), -adens))
-    if len(aorder) > params.enum_cap:
-        aorder = aorder[: params.enum_cap]
-        diagnostics["anchor_cap_hit"] = True
-    else:
-        diagnostics["anchor_cap_hit"] = bool(anchor_cap_pre)
-    diagnostics["anchors_used"] = len(aorder)
+    diagnostics["anchor_cap_hit"] = n_anchors > params.enum_cap
+    diagnostics["anchors_used"] = min(n_anchors, params.enum_cap)
+    use_fast = s == 1 and lo == kp and hi == kp
     diagnostics["fast_path"] = use_fast
 
+    def anchor_scan():
+        """Scanned anchors in processing order (heuristic under the cap:
+        best anchor density first), all enumerated anchors' profiles and
+        their self terms."""
+        anchors, _ = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
+        _, _, aprof, amn, adens = batch_profiles(anchors)
+        aorder = np.lexsort((np.arange(len(anchors)), -adens))[: params.enum_cap]
+        return anchors, aorder, aprof, (amn * aprof).sum(axis=1)
+
     if use_fast:
+        cands = part_cands[0]
         if not cands:
             consider(fallback_T, fallback_h, fallback_d)
         else:
+            _, _, cprof, cmn, cdens = batch_profiles(cands)
             if h is None:
                 ch = np.zeros(len(cands))
             else:
                 ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
+
+            @functools.cache
+            def scan():
+                """Scanned anchors' profiles and cond-9 columns, built on
+                first use; the cond-9 product always spans every anchor."""
+                _, aorder, aprof, aself = anchor_scan()
+                return aprof[aorder], _cond9(cmn, aprof, aself, gp)[:, aorder]
+
             # Each anchor's winner is its first admitted candidate in corder;
             # the scan keeps the best winner (value, then smallest T, which
             # is the lowest candidate index) and also weighs the fallback
             # team iff some anchor admits nothing.
             corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
-            cond9 = _cond9(cmn, aprof, aself, gp)[:, aorder]
-            ap = aprof[aorder]
-            w, admits = _walk_winner(
-                cprof, cond9, ap, corder, ch + (cdens if k >= 2 else 0.0), gp
-            )
+            vals = ch + (cdens if k >= 2 else 0.0)
+            top = int(np.argmax(vals))  # first by (-vals, index)
+            ahead = corder[: int(np.argmax(corder == top))]
+            # With no anchor capped, anchor `top` is scanned; the walk stops at
+            # top when that anchor admits top and nothing ahead of it in corder.
+            if n_anchors <= params.enum_cap and _own_anchor_stops_walk(cprof, cmn, top, ahead, gp):
+                w, admits = top, np.zeros(n_anchors, dtype=bool)
+            else:
+                ap, cond9 = scan()
+                w, admits = _walk_winner(cprof, cond9, ap, corder, vals, gp)
             if w is not None:
                 T = tuple(sorted(set(I) | set(cands[w])))
                 consider(T, float(ch[w]), float(cdens[w]) if k >= 2 else 0.0)
@@ -443,12 +443,14 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
             # lonely anchor only if the fallback team could change best.
             fb = fallback_h + fallback_d
             if best is None or fb > best[0] or (fb == best[0] and fallback_T < best[1]):
+                ap, cond9 = scan()
                 rest = np.flatnonzero(~admits)
                 if best is None or any(
                     not (_cheb(ap[[a]], cprof, gp)[0] & cond9[:, a]).any() for a in rest
                 ):
                     consider(fallback_T, fallback_h, fallback_d)
     else:
+        anchors, aorder, _, _ = anchor_scan()
         fell_back = False
         for a_idx in aorder:
             Q = anchors[int(a_idx)]

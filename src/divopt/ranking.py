@@ -459,7 +459,9 @@ def ptas_dcg(
     streams, and are rounded and scored, as one batch; diagnostics
     ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is None
     when no rounding produced it), ``rounding_streams`` counts the streams
-    drawn and ``randomness_used`` says whether there were any.
+    drawn and ``randomness_used`` says whether there were any.  Prefix length
+    u shrinks until at most ``prefix_cap`` prefixes remain; a cap below n,
+    the count of one-element prefixes, raises GuardExceeded.
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -489,6 +491,8 @@ def ptas_dcg(
     while u_eff > 1 and prefix_count(u_eff) > prefix_cap:
         u_eff -= 1
         cap_hit = True
+    if prefix_count(u_eff) > prefix_cap:
+        raise GuardExceeded(f"ptas_dcg refuses {n} one-element prefixes > prefix_cap {prefix_cap}")
 
     diagnostics = {
         "u_requested": u,

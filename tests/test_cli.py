@@ -154,6 +154,22 @@ class TestSolvers:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "lp.json").exists()
 
+    def test_solve_dcg_prefix_cap_below_n_is_refused_with_exit_3(self, tmp_path, capsys):
+        ss = gen_file(tmp_path, capsys, "ss.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
+        env = dict(os.environ, PYTHONPATH=str(Path(divopt.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "divopt.cli", "solve-dcg", "--in", str(ss),
+             "--epsilon", "0.3", "--u", "2", "--gamma", "0.05", "--trials", "5",
+             "--prefix-cap", "2", "--dump-lp", "lp.json"],
+            capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
+        )
+        assert proc.returncode == 3
+        assert "prefix_cap 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "lp.json").exists()
+
     def test_solve_dispersion_json(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",
                      "gen", "euclidean", "--n", "8", "--seed", "4")
@@ -199,6 +215,22 @@ class TestSolvers:
         assert payload["value"] == pytest.approx(
             payload["h_value"] + payload["den_value"]
         )
+
+    def test_solve_dks_tiny_epsilon_ignores_a_zero_bonus(self, tmp_path, capsys):
+        # At this epsilon no candidate's own anchor is sure to admit it, so
+        # the one-cell solve must walk the anchors with or without a bonus.
+        d = gen_file(tmp_path, capsys, "d.json",
+                     "gen", "random-dks", "--n", "7", "--k", "3", "--seed", "301")
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"kind": "modular", "weights": [0.0] * 7}), encoding="utf-8")
+        payloads = []
+        for bonus in ([], ["--bonus", str(zero)]):
+            code, out, err = run(capsys, "solve-dks", "--in", str(d), "--epsilon", "1e-16", *bonus)
+            assert code == 0, err
+            payloads.append(json.loads(out))
+        plain, with_zero = payloads
+        assert plain["nodes"] == with_zero["nodes"]
+        assert plain["value"] == with_zero["value"]
 
     def test_csv_output_shape(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",

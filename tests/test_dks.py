@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divopt import dks
 from divopt.core import (
     DksInstance,
     GuardExceeded,
@@ -332,11 +333,12 @@ def zero_bonus(S):
 
 
 def direct_fixtures():
-    """(label, instance, gamma) cases spanning the one-cell direct path."""
+    """(label, instance, gamma) cases spanning the no-bonus one-cell solve,
+    including gammas too small for the top candidate's shortcut."""
     cases = []
     for seed in range(8):
         n, k = 6 + seed % 5, 2 + seed % 4
-        for gamma in (1.0, 0.02):
+        for gamma in (1.0, 0.02, 1e-15, 1e-16):
             cases.append((f"random-{seed}-{gamma}", gen_random_dks(n, k, seed=300 + seed), gamma))
     for seed in range(6):
         inst = gen_random_dks(9, 5, seed=320 + seed, forced_count=1 + seed % 3)
@@ -364,6 +366,8 @@ def near_duplicate_instance(n: int, k: int, seed: int) -> DksInstance:
 
 
 class TestDirectArgmax:
+    """The no-bonus one-cell solve, held to the anchored tensor scan."""
+
     @pytest.mark.parametrize(
         "inst, gamma",
         [pytest.param(inst, gamma, id=label) for label, inst, gamma in direct_fixtures()],
@@ -371,29 +375,33 @@ class TestDirectArgmax:
     def test_matches_anchored_scan_bit_for_bit(self, inst, gamma):
         params = desk_params(gamma=gamma)
         direct = submodular_dks(inst, None, params, RngState(1))
-        scan = submodular_dks(inst, zero_bonus, params, RngState(1))
-        assert direct.diagnostics.get("direct_argmax") is True
-        assert "direct_argmax" not in scan.diagnostics
+        scan, _ = tensor_scan(inst, None, params)
         assert direct.nodes == scan.nodes
         assert bits(direct.value) == bits(scan.value)
         assert bits(direct.den_value) == bits(scan.den_value)
         assert bits(direct.h_value) == bits(scan.h_value)
-        assert direct.diagnostics["anchors_used"] == 0
-        assert direct.diagnostics["anchors_total"] == scan.diagnostics["anchors_used"]
-        same = lambda d: {k: v for k, v in d.items() if k not in ("anchors_used", "direct_argmax")}
-        assert same(direct.diagnostics) == same(scan.diagnostics)
+        assert direct.diagnostics == scan.diagnostics
 
     def test_anchor_count_at_and_over_the_cap(self):
         inst = gen_random_dks(6, 3, seed=7)
         count = 6 + 15 + 20  # anchors of sizes 1..3 over six free nodes
         at_cap = submodular_dks(inst, None, desk_params(enum_cap=count), RngState(0))
-        assert at_cap.diagnostics["direct_argmax"] is True
         assert at_cap.diagnostics["anchors_total"] == count
+        assert at_cap.diagnostics["anchors_used"] == count
+        assert at_cap.diagnostics["anchor_cap_hit"] is False
         over = submodular_dks(inst, None, desk_params(enum_cap=count - 1), RngState(0))
-        assert "direct_argmax" not in over.diagnostics
+        assert over.diagnostics["anchors_total"] == count
         assert over.diagnostics["anchors_used"] == count - 1
         assert over.diagnostics["anchor_cap_hit"] is True
         assert over.diagnostics["fast_path"] is True
+        # Only the first 10 * enum_cap anchors are enumerated.
+        far = submodular_dks(inst, None, desk_params(enum_cap=4), RngState(0))
+        assert far.diagnostics["anchors_total"] == 40
+        assert far.diagnostics["anchors_used"] == 4
+        assert far.diagnostics["anchor_cap_hit"] is True
+        for res, cap in ((at_cap, count), (over, count - 1), (far, 4)):
+            want, _ = tensor_scan(inst, None, desk_params(enum_cap=cap))
+            assert res.diagnostics == want.diagnostics
 
     def test_two_cells_use_the_anchored_scan(self):
         inst = gen_random_dks(8, 4, seed=12)
@@ -422,6 +430,25 @@ def first_subsets(nodes, lo: int, hi: int, cap: int):
     return subsets[:cap], len(subsets) > cap
 
 
+def scan_profiles(inst: DksInstance, subsets):
+    """Mean weight profiles, membership profiles and team densities of the
+    given free-node subsets, as the one-cell scan computes them."""
+    I = sorted(inst.forced)
+    W = inst.weights
+    wI = float(W[np.ix_(I, I)].sum() / 2.0) if len(I) >= 2 else 0.0
+    crossI = W[:, I].sum(axis=1) if I else np.zeros(inst.n)
+    B = np.zeros((len(subsets), inst.n))
+    for row, sub in enumerate(subsets):
+        B[row, list(sub)] = 1.0
+    sizes = B.sum(axis=1)
+    BW = B @ W
+    w_tot = wI + B @ crossI + (BW * B).sum(axis=1) / 2.0
+    size_T = sizes + len(I)
+    pairs = size_T * (size_T - 1) / 2.0
+    dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
+    return BW / sizes[:, None], B / sizes[:, None], dens
+
+
 def tensor_scan(inst: DksInstance, h, params: SubDksParams):
     """The one-cell bonus scan as it stood before the candidate walk.
 
@@ -444,21 +471,6 @@ def tensor_scan(inst: DksInstance, h, params: SubDksParams):
             "mode": params.mode}
     cands, cand_cap_hit = first_subsets(Vp, lo, hi, params.enum_cap)
     diag.update(candidates_per_part=[len(cands)], candidate_cap_hit=cand_cap_hit)
-    W = inst.weights
-    wI = float(W[np.ix_(I, I)].sum() / 2.0) if len(I) >= 2 else 0.0
-    crossI = W[:, I].sum(axis=1) if I else np.zeros(n)
-
-    def profiles(subsets):
-        B = np.zeros((len(subsets), n))
-        for row, sub in enumerate(subsets):
-            B[row, list(sub)] = 1.0
-        sizes = B.sum(axis=1)
-        BW = B @ W
-        w_tot = wI + B @ crossI + (BW * B).sum(axis=1) / 2.0
-        size_T = sizes + len(I)
-        pairs = size_T * (size_T - 1) / 2.0
-        dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
-        return BW / sizes[:, None], B / sizes[:, None], dens
 
     def team(members):
         T = tuple(sorted(set(I) | set(members)))
@@ -466,7 +478,7 @@ def tensor_scan(inst: DksInstance, h, params: SubDksParams):
         return T, float(horacle(frozenset(T))), dv
 
     anchors, anchor_cap_pre = first_subsets(Vp, 1, hi, 10 * params.enum_cap)
-    aprof, amn, adens = profiles(anchors)
+    aprof, amn, adens = scan_profiles(inst, anchors)
     aself = (amn * aprof).sum(axis=1)
     aorder = np.lexsort((np.arange(len(anchors)), -adens))
     diag["anchors_total"] = len(anchors)
@@ -474,7 +486,7 @@ def tensor_scan(inst: DksInstance, h, params: SubDksParams):
     aorder = aorder[: params.enum_cap]
     diag.update(anchors_used=len(aorder), fast_path=True, repairs=0)
 
-    cprof, cmn, cdens = profiles(cands)
+    cprof, cmn, cdens = scan_profiles(inst, cands)
     ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
     corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
     cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp
@@ -579,6 +591,12 @@ def walk_fixtures():
         inst = near_duplicate_instance(n, 2, 1)
         cases.append((f"fallback-unweighed-{n}", inst, tiny_modular(n, 1), desk_params(),
                       "fallback-unweighed"))
+    for seed, gamma, kind in itertools.product((301, 302), (1e-15, 1e-16), ("none", "coverage")):
+        # Gammas below the shortcut's rounding bound: the walk decides.
+        inst = gen_random_dks(7, 3, seed=seed)
+        h = gen_submodular(7, "coverage", seed=seed, universe=6) if kind == "coverage" else None
+        cases.append((f"tiny-gamma-{seed}-{gamma}-{kind}", inst, h, desk_params(gamma=gamma),
+                      "any"))
     return cases
 
 
@@ -622,3 +640,111 @@ class TestCandidateWalk:
         assert res.value == pytest.approx(want[0], abs=1e-12)
         assert res.h_value == pytest.approx(want[2])
         assert res.den_value == pytest.approx(want[3])
+
+
+class TestShortcutBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(1, 6),
+        forced=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["random", "near-one", "near-duplicate"]),
+    )
+    def test_own_anchor_admits_every_candidate_above_the_bound(self, n, k, forced, seed, kind):
+        # gamma' just above n 1e-14, the bound past which the top candidate
+        # may win without an anchor scan.
+        gp = math.nextafter(n * 1e-14, math.inf)
+        g = np.random.default_rng(seed)
+        w = {"random": g.random((n, n)), "near-one": 1.0 - g.random((n, n)) * 1e-6,
+             "near-duplicate": g.random((n, n)) * 1e-3}[kind]
+        w = np.triu(w, 1)
+        k = min(k, n)
+        inst = DksInstance(n=n, weights=w + w.T, forced=range(min(forced, k - 1)), k=k)
+        Vp = sorted(set(range(n)) - inst.forced)
+        kp = k - len(inst.forced)
+        anchors, _ = first_subsets(Vp, 1, kp, 2**n)
+        cands = list(itertools.combinations(Vp, kp))
+        own = [anchors.index(c) for c in cands]
+        aprof, amn, _ = scan_profiles(inst, anchors)
+        cprof, cmn, _ = scan_profiles(inst, cands)
+        aself = (amn * aprof).sum(axis=1)
+        cond9 = np.abs(cmn @ aprof.T - aself[None, :]) <= 4.0 * gp
+        # Rows of a max of absolute differences carry the full tensor's bits.
+        cheb = np.abs(cprof - aprof[own]).max(axis=1) <= 2.0 * gp
+        assert cheb.all()
+        assert cond9[np.arange(len(cands)), own].all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(1, 6),
+        forced=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(["random", "near-one", "near-duplicate"]),
+    )
+    def test_own_anchor_rejects_nothing_the_scan_admits(self, n, k, forced, seed, kind):
+        # For sampled (candidate c, candidate d) pairs, gamma' is set to the
+        # least value at which the full-product scan has anchor c admit d;
+        # the shortcut's reading must not reject d there.
+        g = np.random.default_rng(seed)
+        w = {"random": g.random((n, n)), "near-one": 1.0 - g.random((n, n)) * 1e-6,
+             "near-duplicate": g.random((n, n)) * 1e-3}[kind]
+        w = np.triu(w, 1)
+        k = min(k, n)
+        inst = DksInstance(n=n, weights=w + w.T, forced=range(min(forced, k - 1)), k=k)
+        Vp = sorted(set(range(n)) - inst.forced)
+        kp = k - len(inst.forced)
+        anchors, _ = first_subsets(Vp, 1, kp, 2**n)
+        cands = list(itertools.combinations(Vp, kp))
+        aprof, amn, _ = scan_profiles(inst, anchors)
+        cprof, cmn, _ = scan_profiles(inst, cands)
+        aself = (amn * aprof).sum(axis=1)
+        mean_gap = np.abs(cmn @ aprof.T - aself[None, :])
+        for c, d in zip(g.integers(0, len(cands), 40), g.integers(0, len(cands), 40)):
+            a = anchors.index(cands[c])
+            gp = max(np.abs(cprof[d] - aprof[a]).max() / 2.0, mean_gap[d, a] / 4.0)
+            assert np.abs(cprof[d] - aprof[a]).max() <= 2.0 * gp
+            assert mean_gap[d, a] <= 4.0 * gp
+            assert not dks._own_anchor_stops_walk(cprof, cmn, int(c), np.array([d]), gp)
+
+    def test_top_behind_the_bonus_leader_wins_without_a_walk(self, monkeypatch):
+        walks = []
+        real = dks._walk_winner
+        monkeypatch.setattr(dks, "_walk_winner", lambda *a: walks.append(a) or real(*a))
+        behind = 0
+        for seed in range(400, 420):
+            inst = gen_random_dks(8, 3, seed=seed)
+            # A coverage bonus on the density's scale, as diversify's balls have.
+            cover = gen_submodular(8, "coverage", seed=seed, universe=6)
+            h = SubmodularSpec("coverage", universe=6, covers=cover.covers,
+                               uweights=tuple(np.full(6, 0.05)))
+            params = desk_params(gamma=0.02)
+            cands = list(itertools.combinations(range(8), 3))
+            _, _, cdens = scan_profiles(inst, cands)
+            ch = np.array([h.value(c) for c in cands])
+            leader = np.lexsort((np.arange(len(cands)), -cdens, -ch))[0]
+            want, seen = tensor_scan(inst, h, params)
+            if seen["walk_first"] == leader:
+                continue
+            behind += 1
+            got = submodular_dks(inst, h, params, RngState(1))
+            assert seen["winner"] == seen["walk_first"]
+            assert got.nodes == want.nodes
+            assert bits(got.value) == bits(want.value)
+            assert got.diagnostics == want.diagnostics
+        assert behind >= 3
+        assert walks == []
+
+    def test_rejects_only_past_the_slack(self):
+        # Rows 0 (the top candidate) and 1 (one ahead of it) on four nodes,
+        # where the slack is 4e-14.
+        gp = 1 / 64
+        for miss, rejected in ((2e-14, False), (8e-14, True)):
+            far = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5 + 2 * gp + miss]])
+            same = np.full((2, 4), 0.25)
+            assert dks._own_anchor_stops_walk(far, same, 0, np.array([1]), gp) is rejected
+            prof = np.array([0.25, 0.25, 0.25 + 4 * gp + miss, 0.25 + 4 * gp + miss])
+            halves = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+            off = np.vstack([prof, prof])
+            assert dks._own_anchor_stops_walk(off, halves, 0, np.array([1]), gp) is rejected

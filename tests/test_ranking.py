@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from divopt.core import InstanceError, RngState, SetSystemInstance
+from divopt.core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from divopt.generators import gen_setsystem
 from divopt.lp import solve_lp
 from divopt.ranking import (
@@ -339,6 +339,15 @@ class TestPtas:
         assert res.diagnostics["u_requested"] == 3
         assert res.diagnostics["u_used"] == 1
         assert res.diagnostics["prefix_cap_hit"] is True
+
+    def test_prefix_cap_below_n_is_refused(self):
+        # Even one-element prefixes number n = 5; a cap below that is refused.
+        inst = gen_setsystem(5, 3, 2, seed=41)
+        with pytest.raises(GuardExceeded, match="prefix_cap 4"):
+            ptas_dcg(inst, 0.3, RngState(0), u=2, gamma=0.05, trials=2, prefix_cap=4)
+        res = ptas_dcg(inst, 0.3, RngState(0), u=2, gamma=0.05, trials=2, prefix_cap=5)
+        assert res.diagnostics["u_used"] == 1
+        assert res.diagnostics["prefixes"] == 5
 
     def test_outputs_are_permutations_and_deterministic(self):
         inst = gen_setsystem(6, 4, 2, seed=42)

@@ -25,6 +25,7 @@ from .core import (
     RngState,
     SetSystemInstance,
     SubmodularSpec,
+    ValidationReport,
     validate_metric,
 )
 from .diversification import (
@@ -180,9 +181,21 @@ def _result_json(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _solve_csv(instance: str, algorithm: str, seed: int, epsilon, value: float) -> str:
-    row = [instance, algorithm, str(seed), repr(float(epsilon)), repr(float(value)), "", "", ""]
-    return CSV_HEADER + "\n" + ",".join(row) + "\n"
+def _solve_result(args, algorithm: str, value, **extra) -> str:
+    """A solve-* result: the common keys as one CSV row under ``CSV_HEADER``,
+    or as sorted-key JSON together with the command's own ``extra`` keys."""
+    if args.format == "csv":
+        eps, val = repr(float(args.epsilon)), repr(float(value))
+        row = [args.infile, algorithm, str(args.seed), eps, val, "", "", ""]
+        return CSV_HEADER + "\n" + ",".join(row) + "\n"
+    common = {
+        "algorithm": algorithm,
+        "instance": args.infile,
+        "seed": args.seed,
+        "epsilon": args.epsilon,
+        "value": value,
+    }
+    return _result_json({**common, **extra})
 
 
 def _load_as(path, cls, label: str):
@@ -266,24 +279,24 @@ def _cmd_solve_dcg(args) -> str:
             ),
             encoding="utf-8",
         )
-    if args.format == "csv":
-        return _solve_csv(args.infile, "ptas-dcg", args.seed, args.epsilon, res.value)
-    return _result_json(
-        {
-            "algorithm": "ptas-dcg",
-            "instance": args.infile,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "value": res.value,
-            "order": list(res.ranking.order),
-            "lp_bound": res.lp_bound,
-            "diagnostics": res.diagnostics,
-        }
+    return _solve_result(
+        args,
+        "ptas-dcg",
+        res.value,
+        order=list(res.ranking.order),
+        lp_bound=res.lp_bound,
+        diagnostics=res.diagnostics,
     )
 
 
-def _inner_mode(flag: str) -> str:
-    return "greedy" if flag == "scheme" else "exact"
+def _ball_kwargs(args) -> dict:
+    """Solver keywords of the shared ball-scheme flags."""
+    return {
+        "inner_mode": "greedy" if args.inner == "scheme" else "exact",
+        "enum_cap": args.enum_cap,
+        "inner_gamma": args.inner_gamma,
+        "exact_budget": args.exact_budget,
+    }
 
 
 def _cmd_solve_dispersion(args) -> str:
@@ -293,25 +306,16 @@ def _cmd_solve_dispersion(args) -> str:
         args.p,
         args.epsilon,
         RngState(args.seed),
-        inner_mode=_inner_mode(args.inner),
-        enum_cap=args.enum_cap,
-        inner_gamma=args.inner_gamma,
-        exact_budget=args.exact_budget,
+        **_ball_kwargs(args),
     )
-    if args.format == "csv":
-        return _solve_csv(args.infile, "qptas-dispersion", args.seed, args.epsilon, res.value)
-    return _result_json(
-        {
-            "algorithm": "qptas-dispersion",
-            "instance": args.infile,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "p": args.p,
-            "value": res.value,
-            "selection": list(res.selection),
-            "origin": res.origin,
-            "diagnostics": res.diagnostics,
-        }
+    return _solve_result(
+        args,
+        "qptas-dispersion",
+        res.value,
+        p=args.p,
+        selection=list(res.selection),
+        origin=res.origin,
+        diagnostics=res.diagnostics,
     )
 
 
@@ -323,27 +327,18 @@ def _cmd_solve_diversification(args) -> str:
         dinst,
         args.epsilon,
         RngState(args.seed),
-        inner_mode=_inner_mode(args.inner),
-        enum_cap=args.enum_cap,
-        inner_gamma=args.inner_gamma,
-        exact_budget=args.exact_budget,
+        **_ball_kwargs(args),
     )
-    if args.format == "csv":
-        return _solve_csv(args.infile, "diversify", args.seed, args.epsilon, res.value)
-    return _result_json(
-        {
-            "algorithm": "diversify",
-            "instance": args.infile,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "p": args.p,
-            "value": res.value,
-            "disp_value": res.disp_value,
-            "f_value": res.f_value,
-            "selection": list(res.selection),
-            "origin": res.origin,
-            "diagnostics": res.diagnostics,
-        }
+    return _solve_result(
+        args,
+        "diversify",
+        res.value,
+        p=args.p,
+        disp_value=res.disp_value,
+        f_value=res.f_value,
+        selection=list(res.selection),
+        origin=res.origin,
+        diagnostics=res.diagnostics,
     )
 
 
@@ -359,39 +354,31 @@ def _cmd_solve_dks(args) -> str:
         exact_budget=args.exact_budget,
     )
     res = submodular_dks(inst, bonus, params, RngState(args.seed))
-    name = "submodular-dks" if bonus is not None else "dks-additive"
-    if args.format == "csv":
-        return _solve_csv(args.infile, name, args.seed, args.epsilon, res.value)
-    return _result_json(
-        {
-            "algorithm": name,
-            "instance": args.infile,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "value": res.value,
-            "h_value": res.h_value,
-            "den_value": res.den_value,
-            "nodes": list(res.nodes),
-            "diagnostics": res.diagnostics,
-        }
+    return _solve_result(
+        args,
+        "submodular-dks" if bonus is not None else "dks-additive",
+        res.value,
+        h_value=res.h_value,
+        den_value=res.den_value,
+        nodes=list(res.nodes),
+        diagnostics=res.diagnostics,
     )
 
 
 def _cmd_oracle(args) -> str:
     obj = load_instance(args.infile)
     bonus = _load_bonus(args.bonus) if args.bonus else None
+    guard = {"guard": args.guard} if args.guard is not None else {}
     payload: dict = {"instance": args.infile}
     if isinstance(obj, SetSystemInstance):
-        kwargs = {"guard": args.guard} if args.guard is not None else {}
-        ranking, value = brute_force_dcg(obj, **kwargs)
+        ranking, value = brute_force_dcg(obj, **guard)
         payload.update({"algorithm": "brute-dcg", "value": value, "order": list(ranking.order)})
     elif isinstance(obj, MetricInstance):
         if args.p is None:
             raise UsageError("oracle on a metric instance needs --p")
-        kwargs = {"guard": args.guard} if args.guard is not None else {}
         if bonus is not None:
             dinst = DiversificationInstance(obj, bonus, args.p)
-            sel, value, dpart, fpart = brute_force_diversification(dinst, **kwargs)
+            sel, value, dpart, fpart = brute_force_diversification(dinst, **guard)
             payload.update(
                 {
                     "algorithm": "brute-diversification",
@@ -402,17 +389,15 @@ def _cmd_oracle(args) -> str:
                 }
             )
         else:
-            sel, value = brute_force_dispersion(obj, args.p, **kwargs)
+            sel, value = brute_force_dispersion(obj, args.p, **guard)
             payload.update(
                 {"algorithm": "brute-dispersion", "value": value, "selection": list(sel)}
             )
     elif isinstance(obj, DksInstance):
-        kwargs = {"guard": args.guard} if args.guard is not None else {}
-        sel, value = brute_force_subdks(obj, bonus, **kwargs)
+        sel, value = brute_force_subdks(obj, bonus, **guard)
         payload.update({"algorithm": "brute-dks", "value": value, "selection": list(sel)})
     elif isinstance(obj, CoverageInstance):
-        kwargs = {"guard": args.guard} if args.guard is not None else {}
-        value = max_coverage_value(obj, **kwargs)
+        value = max_coverage_value(obj, **guard)
         payload.update({"algorithm": "brute-coverage", "value": value})
     else:
         raise InstanceError(f"{args.infile}: no oracle for this instance kind")
@@ -421,25 +406,11 @@ def _cmd_oracle(args) -> str:
 
 def _cmd_check(args):
     obj = load_instance(args.infile)
-    payload: dict = {"instance": args.infile}
-    exit_code = 0
     if isinstance(obj, MetricInstance):
         report = validate_metric(obj)
-        payload["validation"] = {
-            "ok": report.ok,
-            "kind": report.kind,
-            "witness": report.witness,
-            "message": report.message,
-        }
-        if not report.ok:
-            exit_code = 2
     else:
-        payload["validation"] = {
-            "ok": True,
-            "kind": None,
-            "witness": None,
-            "message": "instance ok",
-        }
+        report = ValidationReport(True, message="instance ok")
+    payload: dict = {"instance": args.infile, "validation": vars(report)}
     if args.selection is not None:
         if not isinstance(obj, MetricInstance):
             raise UsageError("--selection needs a metric instance")
@@ -457,7 +428,7 @@ def _cmd_check(args):
             "center": lemma.center,
             "witness": lemma.witness,
         }
-    return _result_json(payload), exit_code
+    return _result_json(payload), 0 if report.ok else 2
 
 
 def _cmd_bench(args) -> str:
@@ -494,13 +465,7 @@ def main(argv=None) -> int:
         "check": _cmd_check,
         "bench": _cmd_bench,
     }
-    if args.format == "csv" and args.command not in (
-        "bench",
-        "solve-dcg",
-        "solve-dispersion",
-        "solve-diversification",
-        "solve-dks",
-    ):
+    if args.format == "csv" and not (args.command == "bench" or args.command.startswith("solve-")):
         print(f"divopt {args.command}: --format csv is not supported here", file=sys.stderr)
         return 1
     try:

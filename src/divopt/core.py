@@ -29,7 +29,6 @@ __all__ = [
     "disp",
     "disp_cross",
     "dive",
-    "eval_submodular",
 ]
 
 TOL = 1e-9
@@ -387,10 +386,6 @@ class SubmodularSpec:
         if self.uweights is None:
             return float(len(covered))
         return float(sum(self.uweights[i] for i in covered))
-
-
-def eval_submodular(spec: SubmodularSpec, S: Iterable[int]) -> float:
-    return spec.value(S)
 
 
 def as_value_oracle(f) -> Callable[[frozenset], float]:

@@ -348,7 +348,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     def team_stats(members: Iterable[int]) -> tuple:
         T = tuple(sorted(set(I) | set(members)))
         hv = float(horacle(frozenset(T)))
-        dv = _den_or_zero(T, inst) if k >= 2 else 0.0
+        dv = _den_or_zero(T, inst)
         return T, hv, dv
 
     fallback_T, fallback_h, fallback_d = team_stats(_pad_to_size(set(), kp, Vp))
@@ -404,51 +404,49 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         return anchors, aorder, aprof, (amn * aprof).sum(axis=1)
 
     if use_fast:
+        # k <= n gives k' <= |V'| and enum_cap >= 1, so cands is never empty.
         cands = part_cands[0]
-        if not cands:
-            consider(fallback_T, fallback_h, fallback_d)
+        _, _, cprof, cmn, cdens = batch_profiles(cands)
+        if h is None:
+            ch = np.zeros(len(cands))
         else:
-            _, _, cprof, cmn, cdens = batch_profiles(cands)
-            if h is None:
-                ch = np.zeros(len(cands))
-            else:
-                ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
+            ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
 
-            @functools.cache
-            def scan():
-                """Scanned anchors' profiles and cond-9 columns, built on
-                first use; the cond-9 product always spans every anchor."""
-                _, aorder, aprof, aself = anchor_scan()
-                return aprof[aorder], _cond9(cmn, aprof, aself, gp)[:, aorder]
+        @functools.cache
+        def scan():
+            """Scanned anchors' profiles and cond-9 columns, built on
+            first use; the cond-9 product always spans every anchor."""
+            _, aorder, aprof, aself = anchor_scan()
+            return aprof[aorder], _cond9(cmn, aprof, aself, gp)[:, aorder]
 
-            # Each anchor's winner is its first admitted candidate in corder;
-            # the scan keeps the best winner (value, then smallest T, which
-            # is the lowest candidate index) and also weighs the fallback
-            # team iff some anchor admits nothing.
-            corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
-            vals = ch + (cdens if k >= 2 else 0.0)
-            top = int(np.argmax(vals))  # first by (-vals, index)
-            ahead = corder[: int(np.argmax(corder == top))]
-            # With no anchor capped, anchor `top` is scanned; the walk stops at
-            # top when that anchor admits top and nothing ahead of it in corder.
-            if n_anchors <= params.enum_cap and _own_anchor_stops_walk(cprof, cmn, top, ahead, gp):
-                w, admits = top, np.zeros(n_anchors, dtype=bool)
-            else:
-                ap, cond9 = scan()
-                w, admits = _walk_winner(cprof, cond9, ap, corder, vals, gp)
-            if w is not None:
-                T = tuple(sorted(set(I) | set(cands[w])))
-                consider(T, float(ch[w]), float(cdens[w]) if k >= 2 else 0.0)
-            # Without a winner every anchor is lonely; otherwise look for a
-            # lonely anchor only if the fallback team could change best.
-            fb = fallback_h + fallback_d
-            if best is None or fb > best[0] or (fb == best[0] and fallback_T < best[1]):
-                ap, cond9 = scan()
-                rest = np.flatnonzero(~admits)
-                if best is None or any(
-                    not (_cheb(ap[[a]], cprof, gp)[0] & cond9[:, a]).any() for a in rest
-                ):
-                    consider(fallback_T, fallback_h, fallback_d)
+        # Each anchor's winner is its first admitted candidate in corder;
+        # the scan keeps the best winner (value, then smallest T, which
+        # is the lowest candidate index) and also weighs the fallback
+        # team iff some anchor admits nothing.
+        corder = np.lexsort((np.arange(len(cands)), -cdens, -ch))
+        vals = ch + cdens
+        top = int(np.argmax(vals))  # first by (-vals, index)
+        ahead = corder[: int(np.argmax(corder == top))]
+        # With no anchor capped, anchor `top` is scanned; the walk stops at
+        # top when that anchor admits top and nothing ahead of it in corder.
+        if n_anchors <= params.enum_cap and _own_anchor_stops_walk(cprof, cmn, top, ahead, gp):
+            w, admits = top, np.zeros(n_anchors, dtype=bool)
+        else:
+            ap, cond9 = scan()
+            w, admits = _walk_winner(cprof, cond9, ap, corder, vals, gp)
+        if w is not None:
+            T = tuple(sorted(set(I) | set(cands[w])))
+            consider(T, float(ch[w]), float(cdens[w]))
+        # Without a winner every anchor is lonely; otherwise look for a
+        # lonely anchor only if the fallback team could change best.
+        fb = fallback_h + fallback_d
+        if best is None or fb > best[0] or (fb == best[0] and fallback_T < best[1]):
+            ap, cond9 = scan()
+            rest = np.flatnonzero(~admits)
+            if best is None or any(
+                not (_cheb(ap[[a]], cprof, gp)[0] & cond9[:, a]).any() for a in rest
+            ):
+                consider(fallback_T, fallback_h, fallback_d)
     else:
         anchors, aorder, _, _ = anchor_scan()
         fell_back = False
@@ -521,7 +519,7 @@ def brute_force_subdks(inst: DksInstance, h=None, guard: int = 1_000_000):
     best_T, best_val = None, -math.inf
     for combo in combinations(Vp, kp):
         T = tuple(sorted(set(I) | set(combo)))
-        val = float(horacle(frozenset(T))) + (_den_or_zero(T, inst) if inst.k >= 2 else 0.0)
+        val = float(horacle(frozenset(T))) + _den_or_zero(T, inst)
         if val > best_val:
             best_T, best_val = T, val
     return best_T, float(best_val)

@@ -51,16 +51,20 @@ def gen_random_euclidean(n: int, dim: int, seed: int) -> MetricInstance:
     return MetricInstance(n, dist, points=pts, meta=meta)
 
 
+def _pair_draws(n: int, rng: RngState, low: float = 0.0, width: float = 1.0) -> np.ndarray:
+    """Symmetric n x n matrix, zero diagonal, with pair (i, j), i < j, set to
+    low + width * the next uniform draw of ``rng``, pairs in row-major order."""
+    i, j = np.triu_indices(n, 1)
+    out = np.zeros((n, n))
+    out[i, j] = out[j, i] = low + width * rng.gen.random(len(i))
+    return out
+
+
 def gen_random_metric(n: int, seed: int) -> MetricInstance:
     """Symmetric distances drawn uniformly from [1, 2]; triangle holds for free."""
     if n < 1:
         raise InstanceError("need n >= 1")
-    rng = RngState(seed)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = 1.0 + rng.gen.random()
-            dist[i, j] = dist[j, i] = d
+    dist = _pair_draws(n, RngState(seed), low=1.0)
     meta = {"generator": "random-metric", "n": n, "seed": int(seed)}
     return MetricInstance(n, dist, meta=meta)
 
@@ -71,11 +75,7 @@ def gen_planted_dks(n: int, k: int, seed: int) -> DksInstance:
         raise InstanceError("need 2 <= k <= n")
     rng = RngState(seed)
     planted = sorted(int(v) for v in rng.gen.choice(n, size=k, replace=False))
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = 0.5 * rng.gen.random()
-            W[i, j] = W[j, i] = w
+    W = _pair_draws(n, rng, width=0.5)
     for i, j in combinations(planted, 2):
         W[i, j] = W[j, i] = 1.0
     meta = {"generator": "planted-dks", "n": n, "k": k, "seed": int(seed), "planted": planted}
@@ -89,11 +89,7 @@ def gen_random_dks(n: int, k: int, seed: int, forced_count: int = 0) -> DksInsta
     if not 0 <= forced_count <= k:
         raise InstanceError("need 0 <= forced_count <= k")
     rng = RngState(seed)
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = rng.gen.random()
-            W[i, j] = W[j, i] = w
+    W = _pair_draws(n, rng)
     forced = frozenset(
         int(v) for v in rng.gen.choice(n, size=forced_count, replace=False)
     )

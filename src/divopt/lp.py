@@ -257,7 +257,6 @@ def solve_with_cuts(
     lp: LinearProgram,
     oracle: Callable[[np.ndarray], Iterable[Constraint]],
     max_rounds: int = 60,
-    max_pivots: int | None = None,
 ) -> CutLoopResult:
     """Solve, ask the separation oracle, add new cuts, repeat.
 
@@ -269,7 +268,7 @@ def solve_with_cuts(
     seen = {c.dedup_key() for c in work.rows}
     history: list[float] = []
     cuts_added = 0
-    sol = solve_lp(work, max_pivots)
+    sol = solve_lp(work)
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
@@ -292,7 +291,7 @@ def solve_with_cuts(
         for cut in fresh:
             work.add_constraint(cut.coeffs, cut.rel, cut.rhs, cut.key)
         cuts_added += len(fresh)
-        sol = solve_lp(work, max_pivots)
+        sol = solve_lp(work)
     # Round budget exhausted: say whether violated cuts remain.
     clean = False
     if sol.status == "optimal":

@@ -515,13 +515,11 @@ def ptas_dcg(
     lp_bound = -math.inf
 
     if u_eff >= n:
-        for perm in permutations(range(n)):
-            val = dcg_value(perm, inst, f)
-            if val > best_value or (val == best_value and (best_order is None or perm < best_order)):
-                best_value, best_order = val, perm
-        ranking = Ranking.from_order(best_order, inst)
-        diagnostics.update(mode="exhaustive", best_prefix=list(best_order), best_trial=None)
-        return RankSolution(ranking, best_value, best_value, diagnostics)
+        # Lexicographic permutations keep the lex-first optimum, as the prefix
+        # loop's tie-break does.
+        ranking, value = brute_force_dcg(inst, f, guard=n)
+        diagnostics.update(mode="exhaustive", best_prefix=list(ranking.order), best_trial=None)
+        return RankSolution(ranking, value, value, diagnostics)
 
     sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
     gains = np.array([f(t) for t in range(1, n + 1)])

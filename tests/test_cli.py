@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import divopt
+from divopt.bench import CSV_HEADER
 from divopt.cli import main
 from divopt.core import DksInstance, MetricInstance, SetSystemInstance
 from divopt.io import load_instance
@@ -243,6 +244,38 @@ class TestSolvers:
         cells = lines[1].split(",")
         assert cells[1] == "qptas-dispersion"
         assert cells[5] == cells[6] == cells[7] == ""
+
+    CSV_FIXTURES = {
+        "ss": ["gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4"],
+        "m": ["gen", "euclidean", "--n", "7", "--seed", "4"],
+        "d": ["gen", "random-dks", "--n", "7", "--k", "3", "--seed", "4"],
+        "fc": ["gen", "submodular", "--n", "7", "--sub-kind", "coverage",
+               "--universe", "5", "--seed", "4"],
+        "fm": ["gen", "submodular", "--n", "7", "--sub-kind", "modular", "--seed", "4"],
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-dcg", "--in", "ss", "--epsilon", "0.3", "--u", "2", "--gamma", "0.05",
+         "--trials", "5", "--seed", "7"],
+        ["solve-dispersion", "--in", "m", "--p", "3", "--epsilon", "0.5", "--seed", "2"],
+        ["solve-diversification", "--in", "m", "--bonus", "fc", "--p", "3", "--epsilon", "0.5"],
+        ["solve-dks", "--in", "d", "--bonus", "fm", "--epsilon", "0.5", "--seed", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_row_matches_json_run(self, tmp_path, capsys, argv):
+        # Fixture names in argv become generated files.
+        argv = [
+            str(gen_file(tmp_path, capsys, a + ".json", *self.CSV_FIXTURES[a]))
+            if a in self.CSV_FIXTURES else a
+            for a in argv
+        ]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        row = [payload["instance"], payload["algorithm"], str(payload["seed"]),
+               repr(float(payload["epsilon"])), repr(float(payload["value"])), "", "", ""]
+        assert out == CSV_HEADER + "\n" + ",".join(row) + "\n"
 
     def test_solver_reruns_are_byte_identical(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.bench import CSV_HEADER, records_to_csv, run_bench
 from divopt.core import (
@@ -13,6 +15,7 @@ from divopt.core import (
     GuardExceeded,
     InstanceError,
     MetricInstance,
+    RngState,
     SetSystemInstance,
     SubmodularSpec,
     disp,
@@ -86,6 +89,46 @@ class TestDksGenerators:
         assert (off >= 0.0).all() and (off < 1.0).all()
         with pytest.raises(InstanceError):
             gen_random_dks(8, 4, seed=9, forced_count=5)
+
+
+def per_pair(n, rng, draw):
+    """Reference fill: one scalar draw per pair (i, j), i < j, row by row."""
+    W = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            W[i, j] = W[j, i] = draw(rng)
+    return W
+
+
+class TestPairDraws:
+    """The generators' vectorized upper-triangle fill draws the same doubles,
+    in the same order, as one scalar draw per pair, and leaves the stream
+    where that loop left it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 301, 2**40])
+    def test_generators_match_per_pair_loop(self, seed):
+        for n in range(1, 13):
+            want = per_pair(n, RngState(seed), lambda r: 1.0 + r.gen.random())
+            assert gen_random_metric(n, seed).dist.tobytes() == want.tobytes()
+
+            k = max(1, n // 2)
+            rng = RngState(seed)
+            want = per_pair(n, rng, lambda r: r.gen.random())
+            forced = frozenset(int(v) for v in rng.gen.choice(n, size=k // 2, replace=False))
+            inst = gen_random_dks(n, k, seed, forced_count=k // 2)
+            assert inst.weights.tobytes() == want.tobytes()
+            assert inst.forced == forced
+
+            if n >= 2:
+                k = min(n, 3)
+                rng = RngState(seed)
+                planted = sorted(int(v) for v in rng.gen.choice(n, size=k, replace=False))
+                want = per_pair(n, rng, lambda r: 0.5 * r.gen.random())
+                for i, j in combinations(planted, 2):
+                    want[i, j] = want[j, i] = 1.0
+                inst = gen_planted_dks(n, k, seed)
+                assert inst.weights.tobytes() == want.tobytes()
+                assert inst.meta["planted"] == planted
 
 
 class TestDksToDispersion:
@@ -217,7 +260,29 @@ def six_kinds():
     ]
 
 
+GENERATOR_KINDS = {
+    "euclidean": lambda n, seed: gen_random_euclidean(n, 1 + seed % 3, seed),
+    "metric": lambda n, seed: gen_random_metric(n, seed),
+    "planted-dks": lambda n, seed: gen_planted_dks(n + 1, 2, seed),
+    "random-dks": lambda n, seed: gen_random_dks(n, n, seed, forced_count=n // 2),
+    "coverage": lambda n, seed: gen_regular_coverage(
+        2 * n, 2, seed, planted=seed % 2 == 0, extra_sets=n % 3
+    ),
+    "setsystem": lambda n, seed: gen_setsystem(n, n, 2, seed),
+    "submodular-modular": lambda n, seed: gen_submodular(n, "modular", seed),
+    "submodular-coverage": lambda n, seed: gen_submodular(n, "coverage", seed),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("kind", sorted(GENERATOR_KINDS))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 9), seed=st.integers(0, 2**64 - 1))
+    def test_dumps_is_byte_stable_for_every_generator(self, kind, n, seed):
+        text = dumps_instance(GENERATOR_KINDS[kind](n, seed))
+        assert dumps_instance(loads_instance(text)) == text
+        assert dumps_instance(GENERATOR_KINDS[kind](n, seed)) == text
+
     def test_round_trip_is_byte_exact(self):
         for obj in six_kinds():
             text = dumps_instance(obj)

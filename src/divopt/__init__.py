@@ -3,185 +3,33 @@
 Four approximation algorithms with shared deterministic RNG plumbing, their
 brute-force oracles and greedy baselines, seeded instance generators, two
 reduction-style converters, JSON persistence, and a batch bench runner.
+
+Each module's ``__all__`` is the one list of what it exports; the package
+re-exports all of them.
 """
 
-from .core import (
-    DksInstance,
-    GuardExceeded,
-    InstanceError,
-    MetricInstance,
-    RngState,
-    SetSystemInstance,
-    SubmodularSpec,
-    ValidationReport,
-    child_uniforms,
-    derive_seed,
-    disp,
-    disp_cross,
-    dive,
-    validate_metric,
-)
-from .lp import (
-    Constraint,
-    CutLoopResult,
-    LinearProgram,
-    LpError,
-    LpSolution,
-    solve_lp,
-    solve_with_cuts,
-)
-from .ranking import (
-    DCG_STANDARD,
-    DcgLpResult,
-    GainFunction,
-    KnapsackCut,
-    Ranking,
-    RankSolution,
-    RoundingParams,
-    brute_force_dcg,
-    build_dcg_lp,
-    cover_time,
-    dcg_separation,
-    dcg_value,
-    ptas_dcg,
-    round_lp,
-    solve_dcg_lp,
-    tau,
-    tstar_bound,
-)
-from .dks import (
-    DksResult,
-    MatroidResult,
-    SubDksParams,
-    brute_force_subdks,
-    candidate_admit,
-    den,
-    dks_additive,
-    matroid_maximize,
-    profile_vectors,
-    submodular_dks,
-)
-from .dispersion import (
-    BallDecomposition,
-    DispersionResult,
-    LemmaCheck,
-    PairInadmissible,
-    brute_force_dispersion,
-    build_dks_from_ball,
-    check_structural_lemma,
-    greedy_dispersion,
-    qptas_dispersion,
-)
-from .diversification import (
-    DiversificationInstance,
-    DiversificationResult,
-    brute_force_diversification,
-    check_div_structural_lemma,
-    diversify,
-    greedy_diversification,
-)
-from .generators import (
-    CoverageInstance,
-    coverage_to_dcg,
-    dks_to_dispersion,
-    gen_planted_dks,
-    gen_random_dks,
-    gen_random_euclidean,
-    gen_random_metric,
-    gen_regular_coverage,
-    gen_setsystem,
-    gen_submodular,
-    max_coverage_value,
-)
-from .io import dumps_instance, load_instance, loads_instance, save_instance, to_payload, from_payload
-from .bench import BenchRecord, BenchReport, records_to_csv, run_bench
+from . import core, lp, ranking, dks, dispersion, diversification, generators, io, bench
+from .core import *
+from .lp import *
+from .ranking import *
+from .dks import *
+from .dispersion import *
+from .diversification import *
+from .generators import *
+from .io import *
+from .bench import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DksInstance",
-    "GuardExceeded",
-    "InstanceError",
-    "MetricInstance",
-    "RngState",
-    "SetSystemInstance",
-    "SubmodularSpec",
-    "ValidationReport",
-    "derive_seed",
-    "child_uniforms",
-    "disp",
-    "disp_cross",
-    "dive",
-    "validate_metric",
-    "Constraint",
-    "CutLoopResult",
-    "LinearProgram",
-    "LpError",
-    "LpSolution",
-    "solve_lp",
-    "solve_with_cuts",
-    "DCG_STANDARD",
-    "DcgLpResult",
-    "GainFunction",
-    "KnapsackCut",
-    "Ranking",
-    "RankSolution",
-    "RoundingParams",
-    "brute_force_dcg",
-    "build_dcg_lp",
-    "cover_time",
-    "dcg_separation",
-    "dcg_value",
-    "ptas_dcg",
-    "round_lp",
-    "solve_dcg_lp",
-    "tau",
-    "tstar_bound",
-    "DksResult",
-    "MatroidResult",
-    "SubDksParams",
-    "brute_force_subdks",
-    "candidate_admit",
-    "den",
-    "dks_additive",
-    "matroid_maximize",
-    "profile_vectors",
-    "submodular_dks",
-    "BallDecomposition",
-    "DispersionResult",
-    "LemmaCheck",
-    "PairInadmissible",
-    "brute_force_dispersion",
-    "build_dks_from_ball",
-    "check_structural_lemma",
-    "greedy_dispersion",
-    "qptas_dispersion",
-    "DiversificationInstance",
-    "DiversificationResult",
-    "brute_force_diversification",
-    "check_div_structural_lemma",
-    "diversify",
-    "greedy_diversification",
-    "CoverageInstance",
-    "coverage_to_dcg",
-    "dks_to_dispersion",
-    "gen_planted_dks",
-    "gen_random_dks",
-    "gen_random_euclidean",
-    "gen_random_metric",
-    "gen_regular_coverage",
-    "gen_setsystem",
-    "gen_submodular",
-    "max_coverage_value",
-    "dumps_instance",
-    "load_instance",
-    "loads_instance",
-    "save_instance",
-    "to_payload",
-    "from_payload",
-    "BenchRecord",
-    "BenchReport",
-    "records_to_csv",
-    "run_bench",
+    *core.__all__,
+    *lp.__all__,
+    *ranking.__all__,
+    *dks.__all__,
+    *dispersion.__all__,
+    *diversification.__all__,
+    *generators.__all__,
+    *io.__all__,
+    *bench.__all__,
     "__version__",
 ]

@@ -19,9 +19,11 @@ brute-force optima cached per instance.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
 
 from .core import (
@@ -321,21 +323,32 @@ def _cell(value) -> str:
     return str(value)
 
 
-def records_to_csv(records) -> str:
+def _csv_table(rows) -> str:
+    """``CSV_HEADER`` plus one newline-ended line per row of string fields.
+
+    A field is quoted only when it holds a comma, a quote or a line break.
+    The writer quotes just the line breaks of its own terminator, so each
+    row is written with CRLF and then ended with a bare newline instead.
+    """
     lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.instance,
-                    r.algorithm,
-                    str(r.seed),
-                    _cell(r.epsilon),
-                    _cell(r.value),
-                    _cell(r.oracle),
-                    _cell(r.ratio),
-                    f"{r.millis:.3f}",
-                ]
-            )
-        )
+    for row in rows:
+        buf = StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n"))
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records) -> str:
+    return _csv_table(
+        [
+            r.instance,
+            r.algorithm,
+            str(r.seed),
+            _cell(r.epsilon),
+            _cell(r.value),
+            _cell(r.oracle),
+            _cell(r.ratio),
+            f"{r.millis:.3f}",
+        ]
+        for r in records
+    )

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import CSV_HEADER, records_to_csv, run_bench
+from .bench import _csv_table, records_to_csv, run_bench
 from .core import (
     DksInstance,
     GuardExceeded,
@@ -91,9 +91,9 @@ def _build_parser() -> _Parser:
     ball.add_argument("--p", type=int, required=True)
     ball.add_argument("--epsilon", type=float, required=True)
     ball.add_argument("--inner", choices=("exact", "scheme"), default="exact")
-    ball.add_argument("--enum-cap", type=int, default=200_000)
+    ball.add_argument("--enum-cap", type=int, default=SubDksParams.enum_cap)
     ball.add_argument("--inner-gamma", type=float, default=None)
-    ball.add_argument("--exact-budget", type=int, default=1_000_000)
+    ball.add_argument("--exact-budget", type=int, default=SubDksParams.exact_budget)
 
     parser = _Parser(prog="divopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -150,8 +150,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--enum-cap", type=int, default=200_000)
-    p.add_argument("--exact-budget", type=int, default=1_000_000)
+    p.add_argument("--enum-cap", type=int, default=SubDksParams.enum_cap)
+    p.add_argument("--exact-budget", type=int, default=SubDksParams.exact_budget)
 
     p = sub.add_parser("oracle", parents=[common, source], help="brute-force optimum of a file")
     p.add_argument("--p", type=int, default=None)
@@ -186,8 +186,7 @@ def _solve_result(args, algorithm: str, value, **extra) -> str:
     or as sorted-key JSON together with the command's own ``extra`` keys."""
     if args.format == "csv":
         eps, val = repr(float(args.epsilon)), repr(float(value))
-        row = [args.infile, algorithm, str(args.seed), eps, val, "", "", ""]
-        return CSV_HEADER + "\n" + ",".join(row) + "\n"
+        return _csv_table([[args.infile, algorithm, str(args.seed), eps, val, "", "", ""]])
     common = {
         "algorithm": algorithm,
         "instance": args.infile,

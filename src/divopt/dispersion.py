@@ -170,9 +170,9 @@ def qptas_dispersion(
     rng: RngState,
     *,
     inner_mode: str = "exact",
-    enum_cap: int = 200_000,
+    enum_cap: int = dks.SubDksParams.enum_cap,
     inner_gamma: float | None = None,
-    exact_budget: int = 1_000_000,
+    exact_budget: int = dks.SubDksParams.exact_budget,
 ) -> DispersionResult:
     """Ball-decomposition scheme for max-sum dispersion.
 

@@ -23,6 +23,7 @@ from .core import (
     dive,
 )
 from .dispersion import LemmaCheck, _ball_scheme, _brute_force, _lemma_ratio
+from .dks import SubDksParams
 # Still bound here because perfbench's tracer wraps these attributes by name.
 from .dispersion import build_dks_from_ball  # noqa: F401
 from .dks import submodular_dks  # noqa: F401
@@ -66,9 +67,9 @@ def diversify(
     rng: RngState,
     *,
     inner_mode: str = "exact",
-    enum_cap: int = 200_000,
+    enum_cap: int = SubDksParams.enum_cap,
     inner_gamma: float | None = None,
-    exact_budget: int = 1_000_000,
+    exact_budget: int = SubDksParams.exact_budget,
 ) -> DiversificationResult:
     """Ball-decomposition scheme for dispersion plus a submodular bonus.
 

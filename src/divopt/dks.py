@@ -138,7 +138,7 @@ def matroid_maximize(
     objective: Callable[[tuple], float],
     mode: str = "greedy",
     tie_break: Callable[[tuple], float] | None = None,
-    exact_budget: int = 1_000_000,
+    exact_budget: int = SubDksParams.exact_budget,
 ) -> MatroidResult:
     """Pick at most one candidate per part to maximize a monotone objective.
 
@@ -495,10 +495,10 @@ def dks_additive(
     rng: RngState,
     *,
     mode: str = "greedy",
-    enum_cap: int = 200_000,
+    enum_cap: int = SubDksParams.enum_cap,
     s: int | None = None,
     t: float | None = None,
-    exact_budget: int = 1_000_000,
+    exact_budget: int = SubDksParams.exact_budget,
 ) -> DksResult:
     """Density-only specialization: h == 0 and gamma = epsilon."""
     params = SubDksParams(

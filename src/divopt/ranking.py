@@ -31,6 +31,7 @@ __all__ = [
     "build_dcg_lp",
     "dcg_separation",
     "KnapsackCut",
+    "DcgLpResult",
     "solve_dcg_lp",
     "round_lp",
     "tstar_bound",
@@ -210,14 +211,13 @@ def dcg_separation(x: np.ndarray, y: np.ndarray, inst: SetSystemInstance, tol: f
     over all A subseteq S reduces to the single tightest witness
     A = {e in S : z_e(t) > y[s,t]}; (s, t) is violated exactly when
     sum_{e in S} min(z_e(t), y[s,t]) < k_S * y[s,t] - tol.
-    Returned cuts are deduplicated by (set index, t, A).
+    Each (set index, t) pair yields at most one cut.
     """
     n = inst.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float) if inst.m else np.zeros((0, n))
     z = np.cumsum(x, axis=1)
     cuts = []
-    seen = set()
     for s, (members, k) in enumerate(inst.sets):
         idx = sorted(members)
         zE = z[idx, :]
@@ -225,10 +225,6 @@ def dcg_separation(x: np.ndarray, y: np.ndarray, inst: SetSystemInstance, tol: f
         slack = np.minimum(zE, Y[None, :]).sum(axis=0) - k * Y
         for t0 in np.nonzero(slack < -tol)[0]:
             A = tuple(e for li, e in enumerate(idx) if zE[li, t0] > Y[t0])
-            sig = (s, int(t0) + 1, A)
-            if sig in seen:
-                continue
-            seen.add(sig)
             cuts.append(KnapsackCut(s, int(t0) + 1, A, float(-slack[t0])))
     return cuts
 

@@ -1,10 +1,12 @@
 """End-to-end tests for the command line interface (direct main() calls)."""
 
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -254,20 +256,25 @@ class TestSolvers:
         "fm": ["gen", "submodular", "--n", "7", "--sub-kind", "modular", "--seed", "4"],
     }
 
-    @pytest.mark.parametrize("argv", [
+    CSV_RUNS = [
         ["solve-dcg", "--in", "ss", "--epsilon", "0.3", "--u", "2", "--gamma", "0.05",
          "--trials", "5", "--seed", "7"],
         ["solve-dispersion", "--in", "m", "--p", "3", "--epsilon", "0.5", "--seed", "2"],
         ["solve-diversification", "--in", "m", "--bonus", "fc", "--p", "3", "--epsilon", "0.5"],
         ["solve-dks", "--in", "d", "--bonus", "fm", "--epsilon", "0.5", "--seed", "3"],
-    ], ids=lambda argv: argv[0])
-    def test_csv_row_matches_json_run(self, tmp_path, capsys, argv):
-        # Fixture names in argv become generated files.
-        argv = [
-            str(gen_file(tmp_path, capsys, a + ".json", *self.CSV_FIXTURES[a]))
+    ]
+
+    def csv_argv(self, directory, capsys, argv):
+        """Fixture names in argv become files generated in ``directory``."""
+        return [
+            str(gen_file(directory, capsys, a + ".json", *self.CSV_FIXTURES[a]))
             if a in self.CSV_FIXTURES else a
             for a in argv
         ]
+
+    @pytest.mark.parametrize("argv", CSV_RUNS, ids=lambda argv: argv[0])
+    def test_csv_row_matches_json_run(self, tmp_path, capsys, argv):
+        argv = self.csv_argv(tmp_path, capsys, argv)
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         payload = json.loads(out)
@@ -276,6 +283,21 @@ class TestSolvers:
         row = [payload["instance"], payload["algorithm"], str(payload["seed"]),
                repr(float(payload["epsilon"])), repr(float(payload["value"])), "", "", ""]
         assert out == CSV_HEADER + "\n" + ",".join(row) + "\n"
+
+    @pytest.mark.parametrize("argv", CSV_RUNS, ids=lambda argv: argv[0])
+    def test_csv_quotes_a_path_with_comma_and_quote(self, tmp_path, capsys, argv):
+        odd = tmp_path / 'a,b "c"'
+        odd.mkdir()
+        argv = self.csv_argv(odd, capsys, argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["instance"].startswith(str(odd))
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        row = [payload["instance"], payload["algorithm"], str(payload["seed"]),
+               repr(float(payload["epsilon"])), repr(float(payload["value"])), "", "", ""]
+        assert list(csv.reader(StringIO(out))) == [CSV_HEADER.split(","), row]
 
     def test_solver_reruns_are_byte_identical(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",
@@ -465,6 +487,25 @@ class TestBenchCommand:
         payload = json.loads(out)
         assert len(payload["records"]) == 3
         assert payload["aggregates"]
+
+    def test_bench_csv_quotes_an_id_with_comma_and_quote(self, tmp_path, capsys):
+        gen_file(tmp_path, capsys, "m.json", "gen", "euclidean", "--n", "7", "--seed", "10")
+        spec = tmp_path / "bench.json"
+        ident = 'm,1 "euclid"'
+        spec.write_text(json.dumps({
+            "instances": [{"id": ident, "path": "m.json", "p": 3}],
+            "algorithms": [
+                {"name": "qptas-dispersion", "epsilon": 0.5},
+                {"name": "greedy-dispersion"},
+            ],
+            "seeds": [1, 2],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--spec", str(spec), "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.reader(StringIO(out)))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert [len(r) for r in rows[1:]] == [8, 8, 8]
+        assert [r[0] for r in rows[1:]] == [ident] * 3
 
     def test_bench_invalid_json_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"

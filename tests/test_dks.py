@@ -288,6 +288,47 @@ class TestSubmodularDks:
             again = submodular_dks(inst, None, params, RngState(seed))
             assert again.nodes == res.nodes
 
+    @staticmethod
+    def solve_uniform(s: int, t: float | None, seed: int) -> DksResult:
+        """Every pair weighs 0.01 (n = 8, k = 4), so every anchor admits
+        every candidate; checks the team, its value and a same-seed rerun."""
+        n = 8
+        w = np.full((n, n), 0.01)
+        np.fill_diagonal(w, 0.0)
+        inst = DksInstance(n=n, weights=w, forced=(), k=4)
+        params = SubDksParams(gamma=1.0, s=s, t=t, mode="exact")
+        res = submodular_dks(inst, None, params, RngState(seed))
+        assert len(set(res.nodes)) == 4 and set(res.nodes) <= set(range(n))
+        assert res.nodes == tuple(sorted(res.nodes))
+        assert res.value == den(res.nodes, inst)
+        again = submodular_dks(inst, None, params, RngState(seed))
+        assert (again.nodes, again.value) == (res.nodes, res.value)
+        assert again.diagnostics == res.diagnostics
+        return res
+
+    def test_multi_cell_overfull_team_is_cut_by_seeded_permutation(self):
+        # Seed 3 puts four nodes in each cell; each cell adds a 3-subset, so
+        # every anchor's union of six is cut to k' = 4 by the repair stream.
+        diag = self.solve_uniform(2, 3.0, 3).diagnostics
+        assert diag["candidates_per_part"] == [4, 4]
+        assert diag["anchors_used"] == 8 + 28 + 56
+        assert diag["repairs"] == diag["anchors_used"]
+
+    def test_multi_cell_exact_size_team_is_kept(self):
+        # Each cell adds a 2-subset, so every anchor's union has exactly k'.
+        diag = self.solve_uniform(2, 2.0, 3).diagnostics
+        assert diag["candidates_per_part"] == [6, 6]
+        assert diag["anchors_used"] == 8 + 28
+        assert diag["repairs"] == 0
+
+    def test_no_anchor_fallback(self):
+        # s = 5 gives t = 0.8, whose size window [1, 0] holds no anchor.
+        res = self.solve_uniform(5, None, 3)
+        assert res.diagnostics["t"] == 0.8
+        assert res.diagnostics["no_anchor_fallback"] is True
+        assert res.diagnostics["anchors_used"] == 0
+        assert res.nodes == (0, 1, 2, 3)
+
     def test_theory_cell_count_formula(self):
         inst = gen_random_dks(12, 6, seed=11)
         params = SubDksParams(gamma=1.0, enum_cap=10**4, mode="greedy")

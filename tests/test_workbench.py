@@ -1,15 +1,20 @@
 """Tests for instance generators, reductions, JSON serialization, and the bench runner."""
 
+import csv
+import importlib
 import json
 import math
-from itertools import combinations
+import pkgutil
+from io import StringIO
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divopt.bench import CSV_HEADER, records_to_csv, run_bench
+import divopt
+from divopt.bench import CSV_HEADER, BenchRecord, records_to_csv, run_bench
 from divopt.core import (
     DksInstance,
     GuardExceeded,
@@ -386,6 +391,20 @@ class TestBench:
         assert greedy_cells[7].count(".") == 1
         assert len(greedy_cells[7].split(".")[1]) == 3
 
+    def test_csv_quotes_only_fields_that_need_it(self):
+        ids = ["plain", "a,b", 'say "hi"', "cr\rid", "lf\nid"]
+        records = [BenchRecord(i, "greedy-dispersion", 1, None, 2.5, 3.0, 2.5 / 3.0, 1.0)
+                   for i in ids]
+        text = records_to_csv(records)
+        rows = list(csv.reader(StringIO(text)))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert [len(r) for r in rows[1:]] == [8] * len(ids)
+        assert [r[0] for r in rows[1:]] == ids
+        # Fields with nothing to quote keep the plain comma-joined bytes.
+        assert text.startswith(
+            CSV_HEADER + "\nplain,greedy-dispersion,1,,2.5,3.0,0.8333333333333334,1.000\n"
+        )
+
     def test_dks_lane_with_bonus(self, tmp_path):
         self.write_fixtures(tmp_path)
         spec = {
@@ -485,3 +504,33 @@ class TestBench:
         }
         with pytest.raises(InstanceError, match=key):
             run_bench(spec, tmp_path)
+
+
+class TestPackageSurface:
+    """``divopt.__all__`` is assembled from the modules' own ``__all__``."""
+
+    ORDER = ("core", "lp", "ranking", "dks", "dispersion", "diversification",
+             "generators", "io", "bench")
+
+    def modules(self):
+        return [importlib.import_module(f"divopt.{name}") for name in self.ORDER]
+
+    def test_every_library_module_is_re_exported(self):
+        found = {m.name for m in pkgutil.iter_modules(divopt.__path__)}
+        assert found == {*self.ORDER, "cli"}
+
+    def test_all_is_the_module_lists_in_order(self):
+        names = divopt.__all__
+        assert len(names) == len(set(names))
+        assert names == [*chain.from_iterable(m.__all__ for m in self.modules()), "__version__"]
+
+    def test_names_are_the_modules_objects(self):
+        for module in self.modules():
+            for name in module.__all__:
+                assert getattr(divopt, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_name(self):
+        ns: dict = {}
+        exec("from divopt import *", ns)
+        for name in divopt.__all__:
+            assert ns[name] is getattr(divopt, name), name

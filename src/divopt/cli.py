@@ -55,7 +55,14 @@ from .generators import (
 )
 from .io import _jsonable, dumps_instance, load_instance
 from .lp import LpError
-from .ranking import DCG_STANDARD, brute_force_dcg, ptas_dcg, solve_dcg_lp
+from .ranking import (
+    DCG_STANDARD,
+    MAX_CUT_ROUNDS,
+    PREFIX_CAP,
+    brute_force_dcg,
+    ptas_dcg,
+    solve_dcg_lp,
+)
 
 __all__ = ["main"]
 
@@ -131,8 +138,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--prefix-cap", type=int, default=100_000)
-    p.add_argument("--max-cut-rounds", type=int, default=80)
+    p.add_argument("--prefix-cap", type=int, default=PREFIX_CAP)
+    p.add_argument("--max-cut-rounds", type=int, default=MAX_CUT_ROUNDS)
     p.add_argument("--dump-lp", default=None, help="also write the cut-LP solution here")
 
     sub.add_parser(

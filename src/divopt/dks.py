@@ -5,17 +5,18 @@ set, where h is monotone submodular and den is the average pairwise edge
 weight.  It guesses an anchor subset Q, keeps only candidate blocks whose
 weight profile matches Q's, picks one block per partition cell by maximizing
 h over that partition matroid, repairs sizes, and finally keeps the best
-anchor's team.  With one partition cell and uncapped enumeration the anchor
-loop walks every feasible block, which is what the small-instance
-equivalence tests rely on.  There, with or without a bonus, the scan keeps
-the best of the anchors' winners, each anchor's winner being its first
-admitted block in (h, density, index) order.  The solver finds that block
-by walking the blocks by (value, index) and stopping at the first that
-some anchor admits while admitting no block ranked before it, instead of
-building the anchors x blocks x n admission tensor.  The top block wins
-outright, with no anchor built, when every anchor is scanned, gamma'
-clears the rounding error of its own anchor's admission test, and that
-anchor surely rejects every block ahead of it in (h, density, index) order.
+anchor's team.  Every admission test, in either regime, goes through one
+batched helper, ``_admit``; ``candidate_admit`` states its rule for one pair
+and is the reference the tests hold it to.  With one partition cell and
+uncapped enumeration the scan keeps the best of the anchors' winners, each
+anchor's winner being its first admitted block in (h, density, index)
+order.  The solver finds that block by walking the blocks by (value, index)
+and stopping at the first that some anchor admits while admitting no block
+ranked before it.  The top block wins outright, with no anchor built, when
+every anchor is scanned, gamma' clears the rounding error of its own
+anchor's admission test, and that anchor surely rejects every block ahead
+of it in (h, density, index) order.  The fallback team, the first k' free
+nodes, is then the first block and is scored like the others.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, compress, islice, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -90,7 +91,8 @@ def candidate_admit(U: Iterable[int], Q: Iterable[int], inst: DksInstance, gamma
 
     U is admitted for anchor Q when max_x |ow(U)_x - ow(Q)_x| <= 2 gamma' and
     |oind(U).ow(Q) - oind(Q).ow(Q)| <= 4 gamma'.  Comparisons are non-strict
-    at exactly the stated tolerances.
+    at exactly the stated tolerances.  The solver applies this rule in
+    batches (``_admit``); this one-pair form is the reference for tests.
     """
     owU, oiU = profile_vectors(U, inst)
     owQ, oiQ = profile_vectors(Q, inst)
@@ -119,6 +121,8 @@ class SubDksParams:
             raise InstanceError("s override must be >= 1")
         if self.enum_cap < 1:
             raise InstanceError("enum_cap must be positive")
+        if self.t is not None and not math.isfinite(self.t):
+            raise InstanceError("t must be finite")
 
 
 @dataclass
@@ -219,7 +223,8 @@ def _pad_to_size(base: set, kp: int, vp_sorted: Sequence[int]) -> tuple:
 
 def _enumerate_subsets(nodes: Sequence[int], lo: int, hi: int, cap: int):
     """Lexicographic subsets of sizes lo..hi, truncated at cap."""
-    subsets = chain.from_iterable(combinations(nodes, size) for size in range(lo, hi + 1))
+    sizes = range(lo, min(hi, len(nodes)) + 1)
+    subsets = chain.from_iterable(combinations(nodes, size) for size in sizes)
     out = list(islice(subsets, cap + 1))
     return out[:cap], len(out) > cap
 
@@ -234,16 +239,18 @@ def _cond9(cmn, aprof, aself, gp: float) -> np.ndarray:
     return np.abs(gap, out=gap) <= 4.0 * gp
 
 
-def _cheb(aprof, cprof, gp: float) -> np.ndarray:
-    """Chebyshev half of ``candidate_admit``, anchors x candidates, chunked
-    to bound memory.  A max of absolute differences, so any slice of it has
-    the same bits as the full tensor."""
+def _admit(aprof, cprof, cond9, gp: float) -> np.ndarray:
+    """``candidate_admit`` over anchors x candidates: the Chebyshev half,
+    chunked to bound memory, and ``cond9`` (candidates x the same anchors,
+    from ``_cond9``).  The Chebyshev half is a max of absolute differences,
+    so any slice of it has the same bits as the full tensor."""
     chunk = max(1, int(2_000_000 // max(1, cprof.size)))
     rows = [
         np.abs(cprof[None, :, :] - aprof[start : start + chunk, None, :]).max(axis=2) <= 2.0 * gp
         for start in range(0, len(aprof), chunk)
     ]
-    return np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
+    cheb = np.vstack(rows) if rows else np.zeros((0, len(cprof)), dtype=bool)
+    return cheb & cond9.T
 
 
 def _own_anchor_stops_walk(cprof, cmn, c: int, ahead, gp: float) -> bool:
@@ -277,11 +284,11 @@ def _walk_winner(cprof, cond9, aprof, corder, vals, gp: float):
     rank[corder] = np.arange(len(corder))
     admits = np.zeros(len(aprof), dtype=bool)
     for c in np.lexsort((np.arange(len(vals)), -vals)):
-        fans = np.flatnonzero(_cheb(aprof, cprof[c : c + 1], gp)[:, 0] & cond9[c])
+        fans = np.flatnonzero(_admit(aprof, cprof[c : c + 1], cond9[c : c + 1], gp)[:, 0])
         admits[fans] = True
         ahead = corder[: rank[c]]
         if fans.size and ahead.size:
-            taken = _cheb(aprof[fans], cprof[ahead], gp) & cond9[np.ix_(ahead, fans)].T
+            taken = _admit(aprof[fans], cprof[ahead], cond9[np.ix_(ahead, fans)], gp)
             fans = fans[~taken.any(axis=1)]
         if fans.size:
             return int(c), admits
@@ -347,11 +354,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
 
     def team_stats(members: Iterable[int]) -> tuple:
         T = tuple(sorted(set(I) | set(members)))
-        hv = float(horacle(frozenset(T)))
-        dv = _den_or_zero(T, inst)
-        return T, hv, dv
-
-    fallback_T, fallback_h, fallback_d = team_stats(_pad_to_size(set(), kp, Vp))
+        return T, float(horacle(frozenset(T))), _den_or_zero(T, inst)
 
     def batch_profiles(subsets: Sequence[tuple]):
         B = np.zeros((len(subsets), n))
@@ -367,7 +370,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         size_T = sizes + len(I)
         pairs = size_T * (size_T - 1) / 2.0
         dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
-        return B, sizes, prof, mn, dens
+        return prof, mn, dens
 
     repairs = 0
     best: tuple | None = None  # ((value,), T, h, d)
@@ -381,14 +384,13 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     # Anchors are the subsets of the free nodes of sizes 1..hi.  The scan
     # enumerates the first 10 * enum_cap of them and uses the enum_cap
     # densest, so its counts follow in closed form.
-    n_anchors = sum(math.comb(len(Vp), r) for r in range(1, hi + 1))
+    n_anchors = sum(math.comb(len(Vp), r) for r in range(1, min(hi, len(Vp)) + 1))
     diagnostics["anchors_total"] = min(n_anchors, 10 * params.enum_cap)
     if not n_anchors:
         diagnostics["anchors_used"] = 0
         diagnostics["no_anchor_fallback"] = True
-        return DksResult(
-            fallback_T, fallback_h + fallback_d, fallback_h, fallback_d, diagnostics
-        )
+        T, hv, dv = team_stats(Vp[:kp])
+        return DksResult(T, hv + dv, hv, dv, diagnostics)
     diagnostics["anchor_cap_hit"] = n_anchors > params.enum_cap
     diagnostics["anchors_used"] = min(n_anchors, params.enum_cap)
     use_fast = s == 1 and lo == kp and hi == kp
@@ -399,14 +401,14 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         best anchor density first), all enumerated anchors' profiles and
         their self terms."""
         anchors, _ = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
-        _, _, aprof, amn, adens = batch_profiles(anchors)
+        aprof, amn, adens = batch_profiles(anchors)
         aorder = np.lexsort((np.arange(len(anchors)), -adens))[: params.enum_cap]
-        return anchors, aorder, aprof, (amn * aprof).sum(axis=1)
+        return aorder, aprof, (amn * aprof).sum(axis=1)
 
     if use_fast:
         # k <= n gives k' <= |V'| and enum_cap >= 1, so cands is never empty.
         cands = part_cands[0]
-        _, _, cprof, cmn, cdens = batch_profiles(cands)
+        cprof, cmn, cdens = batch_profiles(cands)
         if h is None:
             ch = np.zeros(len(cands))
         else:
@@ -416,8 +418,11 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         def scan():
             """Scanned anchors' profiles and cond-9 columns, built on
             first use; the cond-9 product always spans every anchor."""
-            _, aorder, aprof, aself = anchor_scan()
+            aorder, aprof, aself = anchor_scan()
             return aprof[aorder], _cond9(cmn, aprof, aself, gp)[:, aorder]
+
+        def cand_team(c: int) -> tuple:
+            return tuple(sorted(set(I) | set(cands[c]))), float(ch[c]), float(cdens[c])
 
         # Each anchor's winner is its first admitted candidate in corder;
         # the scan keeps the best winner (value, then smallest T, which
@@ -435,39 +440,34 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
             ap, cond9 = scan()
             w, admits = _walk_winner(cprof, cond9, ap, corder, vals, gp)
         if w is not None:
-            T = tuple(sorted(set(I) | set(cands[w])))
-            consider(T, float(ch[w]), float(cdens[w]))
-        # Without a winner every anchor is lonely; otherwise look for a
-        # lonely anchor only if the fallback team could change best.
-        fb = fallback_h + fallback_d
-        if best is None or fb > best[0] or (fb == best[0] and fallback_T < best[1]):
+            consider(*cand_team(w))
+        # The fallback team, the first k' free nodes, is cands[0].  Without
+        # a winner every anchor is lonely; otherwise look for a lonely
+        # anchor only if the fallback team could change best.
+        fb_T, fb_h, fb_d = fallback = cand_team(0)
+        fb = fb_h + fb_d
+        if best is None or fb > best[0] or (fb == best[0] and fb_T < best[1]):
             ap, cond9 = scan()
             rest = np.flatnonzero(~admits)
-            if best is None or any(
-                not (_cheb(ap[[a]], cprof, gp)[0] & cond9[:, a]).any() for a in rest
-            ):
-                consider(fallback_T, fallback_h, fallback_d)
+            if best is None or not _admit(ap[rest], cprof, cond9[:, rest], gp).any(axis=1).all():
+                consider(*fallback)
     else:
-        anchors, aorder, _, _ = anchor_scan()
+        aorder, aprof, aself = anchor_scan()
+        cells = []  # (candidates, scanned anchors x candidates admissions)
+        for cands in part_cands:
+            cprof, cmn, _ = batch_profiles(cands)
+            cond9 = _cond9(cmn, aprof, aself, gp)[:, aorder]
+            cells.append((cands, _admit(aprof[aorder], cprof, cond9, gp)))
+        union = lambda sel: set(I) | set().union(*(set(c) for c in sel if c is not None))
+        sel_obj = lambda sel: horacle(frozenset(union(sel)))
+        sel_tie = lambda sel: _den_or_zero(union(sel), inst)
         fell_back = False
-        for a_idx in aorder:
-            Q = anchors[int(a_idx)]
-            pools = []
-            for cands in part_cands:
-                pool = [c for c in cands if candidate_admit(c, Q, inst, gp)]
-                pools.append(pool)
+        for row, a_idx in enumerate(aorder):
+            pools = [list(compress(cands, admit[row])) for cands, admit in cells]
             if any(pools):
-                sel_obj = lambda sel: horacle(
-                    frozenset(set(I) | set().union(*(set(c) for c in sel if c is not None)))
-                )
-                sel_tie = lambda sel: _den_or_zero(
-                    set(I) | set().union(*(set(c) for c in sel if c is not None)), inst
-                )
-                res = matroid_maximize(
-                    pools, sel_obj, params.mode, sel_tie, params.exact_budget
-                )
+                res = matroid_maximize(pools, sel_obj, params.mode, sel_tie, params.exact_budget)
                 fell_back = fell_back or res.fell_back
-                Ztilde = sorted(set().union(*(set(c) for c in res.chosen if c is not None)))
+                Ztilde = sorted(union(res.chosen).difference(I))
             else:
                 Ztilde = []
             if len(Ztilde) > kp:

@@ -231,11 +231,15 @@ def gen_submodular(
     n: int, kind: str, seed: int, universe: int | None = None
 ) -> SubmodularSpec:
     """Random monotone submodular bonus: modular weights or a coverage system."""
+    if n < 1:
+        raise InstanceError("need n >= 1")
     rng = RngState(seed)
     if kind == "modular":
         return SubmodularSpec(kind="modular", weights=tuple(rng.gen.random(n)))
     if kind == "coverage":
         M = universe if universe is not None else max(4, 2 * n)
+        if M < 1:
+            raise InstanceError("need universe >= 1")
         covers = []
         for _ in range(n):
             size = int(rng.gen.integers(1, max(1, M // 3) + 1))

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 SEP_TOL = 1e-9
+MAX_CUT_ROUNDS = 80  # default cut-round budget of each relaxation solve
+PREFIX_CAP = 100_000  # default bound on the prefixes ptas_dcg enumerates
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,9 @@ class DcgLpResult:
     loop: CutLoopResult
 
 
-def solve_dcg_lp(inst: SetSystemInstance, f: GainFunction, max_rounds: int = 80) -> DcgLpResult:
+def solve_dcg_lp(
+    inst: SetSystemInstance, f: GainFunction, max_rounds: int = MAX_CUT_ROUNDS
+) -> DcgLpResult:
     """Build the relaxation and run constraint generation to completion."""
     if max_rounds < 0:
         raise InstanceError("max_rounds must be non-negative")
@@ -441,8 +445,8 @@ def ptas_dcg(
     gamma: float | None = None,
     eta: float | None = None,
     trials: int | None = None,
-    prefix_cap: int = 100_000,
-    max_cut_rounds: int = 80,
+    prefix_cap: int = PREFIX_CAP,
+    max_cut_rounds: int = MAX_CUT_ROUNDS,
     f: GainFunction = DCG_STANDARD,
 ) -> RankSolution:
     """Enumerate short ordered prefixes, solve the residual LP, round, keep best.

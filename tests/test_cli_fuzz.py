@@ -182,6 +182,13 @@ def small_files(tmp: Path) -> dict:
     pytest.param(["check", "--in", "m.json", "--selection", "a,b"], "--selection",
                  id="check-selection-not-integers"),
     pytest.param(["check", "--in", "ragged.json"], "same length", id="check-ragged-dist"),
+    pytest.param(["solve-dks", "--in", "d.json", "--epsilon", "1.0", "--s", "2", "--t", "nan"],
+                 "t must be finite", id="solve-dks-t-nan"),
+    pytest.param(["solve-dks", "--in", "d.json", "--epsilon", "1.0", "--s", "2", "--t", "inf"],
+                 "t must be finite", id="solve-dks-t-inf"),
+    pytest.param(["gen", "submodular", "--n=-3"], "need n >= 1", id="gen-submodular-negative-n"),
+    pytest.param(["gen", "submodular", "--n", "4", "--sub-kind", "coverage", "--universe", "0"],
+                 "need universe >= 1", id="gen-submodular-zero-universe"),
 ])
 def test_former_traceback_cases_are_exit_2(tmp_path, argv, message):
     files = small_files(tmp_path)

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.core import (
     GuardExceeded,
@@ -228,3 +230,31 @@ class TestGreedyAndBrute:
         dinst = DiversificationInstance(inst, zero_bonus(30), 15)
         with pytest.raises(GuardExceeded):
             brute_force_diversification(dinst, guard=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    p=st.integers(2, 7),
+    seed=st.integers(0, 10_000),
+    metric=st.sampled_from(["euclidean", "metric"]),
+    kind=st.sampled_from(["modular", "coverage"]),
+    epsilon=st.sampled_from([0.3, 0.5, 0.9]),
+)
+def test_diversify_property(n, p, seed, metric, kind, epsilon):
+    # p distinct points, never below the greedy baseline, and the same on a rerun.
+    if metric == "euclidean":
+        inst = gen_random_euclidean(n, 2, seed=seed)
+    else:
+        inst = gen_random_metric(n, seed=seed)
+    f = gen_submodular(n, kind, seed=seed + 1, universe=5)
+    dinst = DiversificationInstance(inst, f, min(p, n))
+    a = diversify(dinst, epsilon, RngState(seed))
+    assert len(set(a.selection)) == len(a.selection) == dinst.p
+    assert set(a.selection) <= set(range(n))
+    greedy = dive(greedy_diversification(dinst), inst, dinst.f)
+    assert dive(a.selection, inst, dinst.f) >= greedy - 1e-12
+    b = diversify(dinst, epsilon, RngState(seed))
+    assert (b.selection, b.value, b.origin, b.diagnostics) == (
+        a.selection, a.value, a.origin, a.diagnostics
+    )

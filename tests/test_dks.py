@@ -349,6 +349,21 @@ class TestSubmodularDks:
             SubDksParams(gamma=0.5, s=0)
         with pytest.raises(InstanceError):
             SubDksParams(gamma=0.5, enum_cap=0)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InstanceError, match="t must be finite"):
+                SubDksParams(gamma=0.5, t=t)
+
+    def test_huge_t_enumerates_only_sizes_that_exist(self):
+        # Every size window past the seven free nodes holds no candidate, and
+        # every non-empty subset is an anchor.
+        inst = gen_random_dks(7, 3, seed=3)
+        runs = [submodular_dks(inst, None, SubDksParams(gamma=1.0, s=2, t=t), RngState(0))
+                for t in (50.0, 1e6, 1e308)]
+        for res in runs:
+            assert res.nodes == runs[0].nodes
+            assert bits(res.value) == bits(runs[0].value)
+            assert res.diagnostics["candidates_per_part"] == [0, 0]
+            assert res.diagnostics["anchors_total"] == 2**7 - 1
 
 
 class TestBruteForce:
@@ -789,3 +804,132 @@ class TestShortcutBound:
             halves = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
             off = np.vstack([prof, prof])
             assert dks._own_anchor_stops_walk(off, halves, 0, np.array([1]), gp) is rejected
+
+
+def reference_multi_cell(inst: DksInstance, h, params: SubDksParams, seed: int) -> DksResult:
+    """The multi-cell anchored scan restated with ``candidate_admit`` per
+    (anchor, candidate) pair, and den() for every team."""
+    horacle = as_value_oracle(h)
+    I = sorted(inst.forced)
+    kp = inst.k - len(I)
+    Vp = sorted(set(range(inst.n)) - set(I))
+    gp = 0.01 * params.gamma
+    s = params.s
+    t = float(params.t) if params.t is not None else kp / s
+    lo = max(1, math.ceil((1.0 - gp) * t - 1e-9))
+    hi = math.floor((1.0 + gp) * t + 1e-9)
+    rng = RngState(seed)
+    draws = rng.gen.integers(0, s, size=len(Vp))
+    cells = [[v for v, d in zip(Vp, draws) if d == i] for i in range(s)]
+    part = [first_subsets(cell, lo, hi, params.enum_cap) for cell in cells]
+    anchors, _ = first_subsets(Vp, 1, hi, 10 * params.enum_cap)
+    _, _, adens = scan_profiles(inst, anchors)
+    aorder = np.lexsort((np.arange(len(anchors)), -adens))[: params.enum_cap]
+    n_anchors = sum(math.comb(len(Vp), r) for r in range(1, hi + 1))
+    diag = {"k_prime": kp, "s": s, "t": t, "gamma_prime": gp, "size_window": (lo, hi),
+            "mode": params.mode, "candidates_per_part": [len(c) for c, _ in part],
+            "candidate_cap_hit": any(hit for _, hit in part),
+            "anchors_total": min(n_anchors, 10 * params.enum_cap),
+            "anchor_cap_hit": n_anchors > params.enum_cap,
+            "anchors_used": min(n_anchors, params.enum_cap), "fast_path": False}
+
+    def team(sel):
+        return set(I) | set().union(*(set(c) for c in sel if c is not None))
+
+    def team_den(T):
+        return den(T, inst) if len(T) >= 2 else 0.0
+
+    best, repairs, fell_back = None, 0, False
+    for a in aorder:
+        pools = [[c for c in cands if candidate_admit(c, anchors[a], inst, gp)]
+                 for cands, _ in part]
+        Z = []
+        if any(pools):
+            res = matroid_maximize(pools, lambda sel: horacle(frozenset(team(sel))), params.mode,
+                                   lambda sel: team_den(team(sel)), params.exact_budget)
+            fell_back = fell_back or res.fell_back
+            Z = sorted(team(res.chosen) - set(I))
+        repairs += 0 < len(Z) != kp
+        if len(Z) > kp:
+            perm = rng.child("repair", int(a)).gen.permutation(len(Z))
+            Z = [Z[i] for i in perm[:kp]]
+        Z = Z + [v for v in Vp if v not in Z][: kp - len(Z)]
+        T = tuple(sorted(set(I) | set(Z)))
+        hv, dv = float(horacle(frozenset(T))), team_den(T)
+        if best is None or hv + dv > best[0] or (hv + dv == best[0] and T < best[1]):
+            best = (hv + dv, T, hv, dv)
+    diag.update(matroid_fell_back=fell_back, repairs=repairs)
+    val, T, hv, dv = best
+    return DksResult(T, val, hv, dv, diag)
+
+
+def multi_cell_fixtures():
+    """(label, instance, bonus, params, seed) cases with two or three cells.
+
+    Weights of a few gamma' let some anchors admit blocks and others not; t
+    is k' / s rounded up, so a team overfills, and the repair cuts it, when
+    every cell picks a block, and is padded when some cell picks none."""
+    cases = []
+    for n, s, mode, bonus, scale in itertools.product(
+        (9, 10, 12), (2, 3), ("greedy", "exact"), (False, True), (0.03, 0.1)
+    ):
+        seed = n + s
+        w = np.triu(np.random.default_rng(seed).random((n, n)) * scale, 1)
+        inst = DksInstance(n=n, weights=w + w.T, forced=range(seed % 3), k=n // 2 + 1)
+        h = gen_submodular(n, "coverage", seed=seed, universe=8) if bonus else None
+        params = SubDksParams(gamma=1.0, s=s, t=float(math.ceil((inst.k - seed % 3) / s)),
+                              mode=mode)
+        label = f"n{n}-s{s}-{mode}-{'bonus' if bonus else 'none'}-w{scale}"
+        cases.append((label, inst, h, params, seed))
+    return cases
+
+
+class TestMultiCell:
+    @pytest.mark.parametrize(
+        "inst, h, params, seed",
+        [pytest.param(*case[1:], id=case[0]) for case in multi_cell_fixtures()],
+    )
+    def test_matches_per_pair_reference_bit_for_bit(self, inst, h, params, seed):
+        got = submodular_dks(inst, h, params, RngState(seed))
+        want = reference_multi_cell(inst, h, params, seed)
+        assert got.nodes == want.nodes
+        assert bits(got.value) == bits(want.value)
+        assert bits(got.h_value) == bits(want.h_value)
+        assert bits(got.den_value) == bits(want.den_value)
+        assert got.diagnostics == want.diagnostics
+
+    def test_fixtures_cut_pad_and_keep_teams(self, monkeypatch):
+        # The differential cases cut overfull teams (each cut draws one repair
+        # stream), pad underfull ones and keep exact-size ones.
+        cuts = []
+        real = RngState.child
+        monkeypatch.setattr(RngState, "child",
+                            lambda rng, *keys: cuts.append(keys) or real(rng, *keys))
+        repairs = [submodular_dks(inst, h, p, RngState(seed)).diagnostics["repairs"]
+                   for _, inst, h, p, seed in multi_cell_fixtures()]
+        assert cuts and all(keys[0] == "repair" for keys in cuts)
+        assert 0 < len(cuts) < sum(repairs)
+        assert 0 in repairs
+
+
+class TestFallbackScoring:
+    @pytest.mark.parametrize("n, k, forced, seed, bonus", [
+        (6, 4, 1, 154, False),
+        (5, 4, 1, 316, False),
+        (8, 7, 0, 462, False),
+        (5, 4, 2, 827, True),
+    ])
+    def test_first_team_winning_builds_no_anchor(self, monkeypatch, n, k, forced, seed, bonus):
+        # The batch density of the first k' free nodes is a few ulps off den()
+        # here; scored alike, the fallback team cannot beat itself as winner.
+        builds = []
+        real = dks._cond9
+        monkeypatch.setattr(dks, "_cond9", lambda *a: builds.append(1) or real(*a))
+        inst = gen_random_dks(n, k, seed=seed, forced_count=forced)
+        h = gen_submodular(n, "coverage", seed=seed, universe=6) if bonus else None
+        res = submodular_dks(inst, h, desk_params(gamma=0.02), RngState(0))
+        free = sorted(set(range(n)) - inst.forced)
+        assert res.nodes == tuple(sorted(inst.forced | set(free[: k - forced])))
+        assert res.value == res.h_value + res.den_value
+        assert res.den_value == pytest.approx(den(res.nodes, inst), rel=1e-14)
+        assert builds == []

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divopt.core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from divopt.generators import gen_setsystem
@@ -552,3 +554,23 @@ def test_budget_arguments_are_checked():
     with pytest.raises(InstanceError):
         solve_dcg_lp(inst, DCG_STANDARD, max_rounds=-1)
     assert solve_dcg_lp(inst, DCG_STANDARD, max_rounds=0).loop.rounds == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(0, 5),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    u=st.integers(1, 2),
+    trials=st.integers(1, 6),
+)
+def test_ptas_dcg_property(n, m, kmax, seed, u, trials):
+    # A permutation of range(n), never above the LP bound, and the same on a rerun.
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    a = ptas_dcg(inst, 0.3, RngState(seed), u=u, gamma=0.05, trials=trials)
+    assert sorted(a.ranking.order) == list(range(n))
+    assert a.value <= a.lp_bound + 1e-9
+    b = ptas_dcg(inst, 0.3, RngState(seed), u=u, gamma=0.05, trials=trials)
+    assert (b.ranking.order, b.value, b.lp_bound) == (a.ranking.order, a.value, a.lp_bound)
+    assert b.diagnostics == a.diagnostics

@@ -104,30 +104,41 @@ class LpSolution:
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int):
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
+    """Pivot on (r, j) in place.  Only rows with a nonzero column-j entry are
+    updated; any other row would only subtract a signed zero from each cell."""
+    prow = T[r] / T[r, j]
+    rows = T[:, j].nonzero()[0]
+    block = T.take(rows, axis=0)
+    block -= block[:, j : j + 1] * prow
+    T[rows] = block
+    T[r] = prow  # row r was in the block too; it takes the normalised row
     basis[r] = j
 
 
 def _bland_loop(T, basis, n_cols, max_pivots, pivots_done):
     """Run Bland pivots on tableau T until optimal/unbounded/budget."""
     pivots = pivots_done
+    if not n_cols:
+        return "optimal", pivots
+    # Views stay current: every pivot updates T in place.
+    rc, body, rhs = T[-1, :n_cols], T[:-1], T[:-1, -1]
     while True:
-        rc = T[-1, :n_cols]
-        candidates = np.nonzero(rc < -RC_TOL)[0]
-        if len(candidates) == 0:
+        improving = rc < -RC_TOL
+        j = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[j]:
             return "optimal", pivots
-        j = int(candidates[0])  # Bland: smallest improving index
-        col = T[:-1, j]
-        pos = np.nonzero(col > PIVOT_TOL)[0]
-        if len(pos) == 0:
+        col = body[:, j]
+        pos = (col > PIVOT_TOL).nonzero()[0]
+        if len(pos) > 1:
+            ratios = rhs.take(pos) / col.take(pos)
+            best = float(np.minimum.reduce(ratios))
+            pos = pos[ratios <= best + PIVOT_TOL * (1.0 + abs(best))]
+        if len(pos) > 1:
+            r = int(pos[basis.take(pos).argmin()])  # Bland: smallest basis index
+        elif len(pos):
+            r = int(pos[0])
+        else:
             return "unbounded", pivots
-        ratios = T[:-1, -1][pos] / col[pos]
-        best = ratios.min()
-        ties = pos[np.nonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))[0]]
-        r = int(ties[np.argmin(basis[ties])])  # Bland: smallest basis index
         _pivot(T, basis, r, j)
         pivots += 1
         if pivots > max_pivots:
@@ -139,107 +150,86 @@ def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
     n = lp.n_vars
     shift = lp.lower
 
-    # Assemble <= rows over shifted variables x' = x - lower.
-    rows_a: list[np.ndarray] = []
-    rows_b: list[float] = []
-
-    def push(coeffs, rhs):
-        rows_a.append(np.asarray(coeffs, dtype=float))
-        rows_b.append(float(rhs))
-
-    for con in lp.rows:
-        rhs = con.rhs - float(con.coeffs @ shift)
-        if con.rel == "<=":
-            push(con.coeffs, rhs)
-        elif con.rel == ">=":
-            push(-con.coeffs, -rhs)
+    # <= rows over shifted variables x' = x - lower: each constraint in order
+    # (an equality as itself, then its negation), then one unit row per
+    # finite upper bound.
+    src, sign = [], []
+    for i, con in enumerate(lp.rows):
+        if con.rel == "==":
+            src += (i, i)
+            sign += (1.0, -1.0)
         else:
-            push(con.coeffs, rhs)
-            push(-con.coeffs, -rhs)
-    for i in range(n):
-        hi = lp.upper[i] - shift[i]
-        if np.isfinite(hi):
-            e = np.zeros(n)
-            e[i] = 1.0
-            push(e, hi)
+            src.append(i)
+            sign.append(-1.0 if con.rel == ">=" else 1.0)
+    sign = np.array(sign)
+    coeffs = np.array([con.coeffs for con in lp.rows], dtype=float).reshape(len(lp.rows), n)
+    rhs = np.array([con.rhs for con in lp.rows], dtype=float)
+    # With all lower bounds zero, each coeffs @ shift of finite coefficients
+    # is +0.0 and leaves every rhs bit as it is, so the products are skipped.
+    if shift.any():
+        rhs -= [float(con.coeffs @ shift) for con in lp.rows]
+    hi = lp.upper - shift
+    bounded = np.flatnonzero(np.isfinite(hi))
+    k = len(src)
+    m = k + len(bounded)
+    b = np.concatenate((rhs[src] * sign, hi[bounded]))
 
-    m = len(rows_a)
-    A = np.vstack(rows_a) if m else np.zeros((0, n))
-    b = np.array(rows_b)
-
-    neg = b < 0
-    n_art = int(neg.sum())
+    neg = np.flatnonzero(b < 0)
+    n_art = len(neg)
     n_cols = n + m + n_art
     if max_pivots is None:
         max_pivots = 200 + 40 * (m + n_cols)
 
     # tableau: structural | slack | artificial | rhs, plus one objective row
     T = np.zeros((m + 1, n_cols + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    T[:k, :n] = coeffs[src] * sign[:, None]
+    T[k + np.arange(len(bounded)), bounded] = 1.0
     T[:m, -1] = b
+    T[np.arange(m), n + np.arange(m)] = 1.0
     basis = np.arange(n, n + m)
-
-    art = 0
-    art_cols = []
-    for i in range(m):
-        if neg[i]:
-            T[i] = -T[i]
-            col = n + m + art
-            T[i, col] = 1.0
-            basis[i] = col
-            art_cols.append(col)
-            art += 1
+    art_cols = n + m + np.arange(n_art)
+    T[neg] = -T[neg]
+    T[neg, art_cols] = 1.0
+    basis[neg] = art_cols
 
     pivots = 0
     if n_art:
-        # Phase 1: maximize -sum(artificials); z-row starts at +1 per artificial.
-        T[-1, :] = 0.0
-        for col in art_cols:
-            T[-1, col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
+        # Phase 1: maximize -sum(artificials); z-row starts at +1 per
+        # artificial, minus each artificial row in turn.
+        T[-1, art_cols] = 1.0
+        T[-1] = np.subtract.reduce(T[np.append(m, neg)], axis=0)
         status, pivots = _bland_loop(T, basis, n_cols, max_pivots, pivots)
         if status == "unbounded":
             raise LpError("phase-1 objective reported unbounded")
         if T[-1, -1] < -FEAS_TOL:
             return LpSolution("infeasible", None, None, pivots)
-        # Drive any degenerate artificial out of the basis.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] not in art_cols:
-                continue
-            row = T[i, : n + m]
-            nz = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-            if len(nz) == 0:
-                drop_rows.append(i)
-            else:
-                _pivot(T, basis, i, int(nz[0]))
-                pivots += 1
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            T = np.vstack([T[keep], T[-1:]])
-            basis = basis[keep]
-            m = len(keep)
-        T = np.delete(T, art_cols, axis=1)
+        # Drive any degenerate artificial out of the basis.  Its row always
+        # has a pivot: the slack column of an artificial's row starts as the
+        # negated artificial column and row operations keep it exactly so,
+        # so it reads -1 wherever the artificial is basic.
+        for i in np.flatnonzero(basis >= n + m):
+            _pivot(T, basis, i, int((np.abs(T[i, : n + m]) > PIVOT_TOL).argmax()))
+            pivots += 1
+        # Drop the artificial columns: the rhs moves next to the slacks.
+        T[:, n + m] = T[:, -1]
+        T = T[:, : n + m + 1]
 
-    # Phase 2 objective row.
-    T[-1, :] = 0.0
+    # Phase 2 objective row: -c, minus cost times row for each basic column
+    # with a nonzero cost, in row order.  Basic columns are unit vectors, so
+    # each cost is the one read before any row is subtracted.
+    T[-1] = 0.0
     T[-1, :n] = -lp.objective
-    for i in range(len(basis)):
-        j = basis[i]
-        if abs(T[-1, j]) > 0:
-            T[-1] -= T[-1, j] * T[i]
+    cost = T[-1, basis]
+    rows = np.flatnonzero(cost)
+    T[-1] = np.subtract.reduce(np.vstack((T[-1:], cost[rows, None] * T[rows])), axis=0)
     n_cols = T.shape[1] - 1
     status, pivots = _bland_loop(T, basis, n_cols, max_pivots, pivots)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
     x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = T[i, -1]
+    structural = basis < n
+    x[basis[structural]] = T[:-1, -1][structural]
     x = x + shift
     return LpSolution("optimal", x, float(lp.objective @ x), pivots)
 
@@ -251,6 +241,8 @@ class CutLoopResult:
     cuts_added: int
     clean: bool
     objective_history: list = field(default_factory=list)
+    solves: int = 0  # simplex solves, one per round plus one if the budget ran out
+    pivots: int = 0  # summed over those solves
 
 
 def solve_with_cuts(
@@ -268,16 +260,28 @@ def solve_with_cuts(
     seen = {c.dedup_key() for c in work.rows}
     history: list[float] = []
     cuts_added = 0
-    sol = solve_lp(work)
+    solves = pivots = 0
+
+    def solve():
+        nonlocal solves, pivots
+        sol = solve_lp(work)
+        solves += 1
+        pivots += sol.pivots
+        return sol
+
+    def result(clean: bool) -> CutLoopResult:
+        return CutLoopResult(sol, rounds, cuts_added, clean, history, solves, pivots)
+
+    sol = solve()
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
         if sol.status != "optimal":
-            return CutLoopResult(sol, rounds, cuts_added, False, history)
+            return result(False)
         history.append(sol.objective)
         returned = list(oracle(sol.x))
         if not returned:
-            return CutLoopResult(sol, rounds, cuts_added, True, history)
+            return result(True)
         fresh = []
         for cut in returned:
             k = cut.dedup_key()
@@ -287,14 +291,14 @@ def solve_with_cuts(
             fresh.append(cut)
         if not fresh:
             # Oracle still complains but offers nothing new: numerical stall.
-            return CutLoopResult(sol, rounds, cuts_added, False, history)
+            return result(False)
         for cut in fresh:
             work.add_constraint(cut.coeffs, cut.rel, cut.rhs, cut.key)
         cuts_added += len(fresh)
-        sol = solve_lp(work)
+        sol = solve()
     # Round budget exhausted: say whether violated cuts remain.
     clean = False
     if sol.status == "optimal":
         history.append(sol.objective)
         clean = len(list(oracle(sol.x))) == 0
-    return CutLoopResult(sol, rounds, cuts_added, clean, history)
+    return result(clean)

@@ -160,23 +160,18 @@ def build_dcg_lp(inst: SetSystemInstance, f: GainFunction):
     layout = DcgLpLayout(n, m)
     nv = layout.n_vars
     obj = np.zeros(nv)
-    for s in range(m):
-        for t in range(1, n + 1):
-            coeff = f(t) - f(t + 1) if t < n else f(n)
-            obj[layout.y_index(s, t)] = coeff
+    obj[n * n :] = np.tile([f(t) - f(t + 1) for t in range(1, n)] + [f(n)], m)
     upper = np.full(nv, np.inf)
     # x <= 1 follows from the assignment equalities; only y needs the cap.
     upper[n * n :] = 1.0
     lp = LinearProgram(nv, obj, upper=upper)
     for t in range(1, n + 1):
         row = np.zeros(nv)
-        for e in range(n):
-            row[layout.x_index(e, t)] = 1.0
+        row[t - 1 : n * n : n] = 1.0  # x[e, t] for every e
         lp.add_constraint(row, "==", 1.0, key=("slot", t))
     for e in range(n):
         row = np.zeros(nv)
-        for t in range(1, n + 1):
-            row[layout.x_index(e, t)] = 1.0
+        row[e * n : (e + 1) * n] = 1.0  # x[e, t] for every t
         lp.add_constraint(row, "==", 1.0, key=("elem", e))
     for s in range(m):
         for t in range(2, n + 1):
@@ -199,9 +194,8 @@ class KnapsackCut:
     def to_constraint(self, inst: SetSystemInstance, layout: DcgLpLayout) -> Constraint:
         members, k = inst.sets[self.set_index]
         coeffs = np.zeros(layout.n_vars)
-        for e in sorted(members - set(self.A)):
-            for tp in range(1, self.t + 1):
-                coeffs[layout.x_index(e, tp)] += 1.0
+        for e in members - set(self.A):
+            coeffs[layout.x_index(e, 1) : layout.x_index(e, self.t) + 1] = 1.0
         coeffs[layout.y_index(self.set_index, self.t)] = -(k - len(self.A))
         return Constraint(coeffs, ">=", 0.0, key=("kc", self.set_index, self.t, self.A))
 
@@ -459,7 +453,10 @@ def ptas_dcg(
     streams, and are rounded and scored, as one batch; diagnostics
     ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is None
     when no rounding produced it), ``rounding_streams`` counts the streams
-    drawn and ``randomness_used`` says whether there were any.  Prefix length
+    drawn and ``randomness_used`` says whether there were any.  ``lp_solves``
+    and ``lp_pivots`` count the simplex solves and pivots of the residual
+    relaxations, and ``lp_cache_hits`` the prefixes that reuse the residual of
+    an earlier prefix with the same element set.  Prefix length
     u shrinks until at most ``prefix_cap`` prefixes remain; a cap below n,
     the count of one-element prefixes, raises GuardExceeded.
     """
@@ -508,6 +505,9 @@ def ptas_dcg(
         "prefixes": prefix_count(u_eff),
         "rounding_streams": 0,
         "randomness_used": False,
+        "lp_solves": 0,
+        "lp_pivots": 0,
+        "lp_cache_hits": 0,
     }
 
     best_order: tuple | None = None
@@ -528,14 +528,17 @@ def ptas_dcg(
     for pidx, prefix in enumerate(permutations(range(n), u_eff)):
         fixed, res_inst, rest = _prefix_state(inst, prefix, f)
         key = frozenset(prefix)
-        if key not in lp_cache:
-            if res_inst is None or res_inst.m == 0:
-                lp_cache[key] = (None, 0.0)
-            else:
-                res = solve_dcg_lp(res_inst, res_gain, max_rounds=max_cut_rounds)
-                diagnostics["cut_rounds"] += res.loop.rounds
-                diagnostics["cut_clean"] = diagnostics["cut_clean"] and res.loop.clean
-                lp_cache[key] = (res, res.objective)
+        if key in lp_cache:
+            diagnostics["lp_cache_hits"] += 1
+        elif res_inst is None or res_inst.m == 0:
+            lp_cache[key] = (None, 0.0)
+        else:
+            res = solve_dcg_lp(res_inst, res_gain, max_rounds=max_cut_rounds)
+            diagnostics["cut_rounds"] += res.loop.rounds
+            diagnostics["cut_clean"] = diagnostics["cut_clean"] and res.loop.clean
+            diagnostics["lp_solves"] += res.loop.solves
+            diagnostics["lp_pivots"] += res.loop.pivots
+            lp_cache[key] = (res, res.objective)
         res, res_obj = lp_cache[key]
         lp_bound = max(lp_bound, fixed + res_obj)
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface (direct main() calls)."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -172,6 +173,21 @@ class TestSolvers:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "lp.json").exists()
+
+    def test_solve_dcg_pivot_budget_is_refused_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        # The real cut loop and simplex, with the pivot budget cut to one.
+        ss = gen_file(tmp_path, capsys, "ss.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
+        monkeypatch.setattr(divopt.lp, "solve_lp", functools.partial(divopt.lp.solve_lp, max_pivots=1))
+        out, dump = tmp_path / "out.json", tmp_path / "lp.json"
+        code, stdout, err = run(capsys, "solve-dcg", "--in", str(ss), "--epsilon", "0.3",
+                                "--u", "2", "--gamma", "0.05", "--trials", "5",
+                                "--dump-lp", str(dump), "--out", str(out))
+        assert code == 3
+        assert "pivot budget 1 exhausted" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists() and not dump.exists()
 
     def test_solve_dispersion_json(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",

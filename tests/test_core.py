@@ -319,3 +319,49 @@ class TestChildUniformsMatchesNumpy:
             child_uniforms(1, [("pair", 3)], 3)
         with pytest.raises(ValueError):
             child_uniforms(1, np.array([1, 2]), 3)
+
+
+_U128 = st.one_of(
+    st.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1]),
+    st.integers(0, 2**128 - 1),
+)
+
+
+def _limbs(values):
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+    return hi, lo
+
+
+class TestChildUniformsLimbs:
+    """PCG64 stepped over (high, low) uint64 limbs, against Python integers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_U128, _U128), min_size=1, max_size=8))
+    def test_lcg_step(self, pairs):
+        # The carry edges: low limb all ones, high limb all ones, both.
+        pairs = pairs + [(0, 1), (2**64 - 1, 2**64 - 1), (2**128 - 1, 2**128 - 1)]
+        states, incs = zip(*pairs)
+        hi, lo = core._pcg_step(*_limbs(states), *_limbs(incs))
+        want = [(s * core._PCG_MULT + inc) & (2**128 - 1) for s, inc in pairs]
+        assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == want
+
+    def test_no_rows(self):
+        got = child_uniforms(3, np.zeros((0, 2), dtype=np.uint64), 5)
+        assert got.shape == (0, 5)
+        assert got.dtype == np.float64
+
+    def test_no_draws(self):
+        got = child_uniforms(3, np.arange(6).reshape(3, 2), 0)
+        assert got.shape == (3, 0)
+        assert got.dtype == np.float64
+
+    def test_ptas_dcg_batch_shape(self):
+        # ptas_dcg's batch: 200 trials of one prefix, eight draws each.
+        pidx = 17
+        keys = np.column_stack((np.full(200, pidx), np.arange(200)))
+        got = child_uniforms(5, keys, 8)
+        assert got.shape == (200, 8)
+        for trial in range(200):
+            want = RngState(5).child(pidx, trial).gen.random(8)
+            assert got[trial].tobytes() == want.tobytes()

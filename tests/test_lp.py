@@ -5,7 +5,21 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from divopt import Constraint, InstanceError, LinearProgram, LpError, solve_lp, solve_with_cuts
+from divopt import (
+    Constraint,
+    GainFunction,
+    InstanceError,
+    LinearProgram,
+    LpError,
+    LpSolution,
+    RngState,
+    gen_setsystem,
+    ptas_dcg,
+    solve_dcg_lp,
+    solve_lp,
+    solve_with_cuts,
+)
+from divopt import lp as lp_mod
 
 
 def _lp(objective, rows=(), lower=None, upper=None):
@@ -180,3 +194,365 @@ def test_cut_loop_round_budget_reports_dirty():
     res = solve_with_cuts(lp, oracle, max_rounds=2)
     assert not res.clean
     assert res.cuts_added == 2
+
+
+# ---------------------------------------------------------------------------
+# Exactness: the solver against a verbatim copy of the simplex it replaced
+# (an np.outer pivot over the whole tableau, rows assembled one by one).
+# Pivot choice, status, pivot count and every bit of x and the objective
+# must agree.
+
+
+def _ref_pivot(T, basis, r, j):
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    basis[r] = j
+
+
+def _ref_bland_loop(T, basis, n_cols, max_pivots, pivots_done):
+    pivots = pivots_done
+    while True:
+        rc = T[-1, :n_cols]
+        candidates = np.nonzero(rc < -lp_mod.RC_TOL)[0]
+        if len(candidates) == 0:
+            return "optimal", pivots
+        j = int(candidates[0])
+        col = T[:-1, j]
+        pos = np.nonzero(col > lp_mod.PIVOT_TOL)[0]
+        if len(pos) == 0:
+            return "unbounded", pivots
+        ratios = T[:-1, -1][pos] / col[pos]
+        best = ratios.min()
+        ties = pos[np.nonzero(ratios <= best + lp_mod.PIVOT_TOL * (1.0 + abs(best)))[0]]
+        r = int(ties[np.argmin(basis[ties])])
+        _ref_pivot(T, basis, r, j)
+        pivots += 1
+        if pivots > max_pivots:
+            raise LpError(f"pivot budget {max_pivots} exhausted")
+
+
+def reference_solve_lp(lp, max_pivots=None):
+    n = lp.n_vars
+    shift = lp.lower
+    rows_a, rows_b = [], []
+
+    def push(coeffs, rhs):
+        rows_a.append(np.asarray(coeffs, dtype=float))
+        rows_b.append(float(rhs))
+
+    for con in lp.rows:
+        rhs = con.rhs - float(con.coeffs @ shift)
+        if con.rel == "<=":
+            push(con.coeffs, rhs)
+        elif con.rel == ">=":
+            push(-con.coeffs, -rhs)
+        else:
+            push(con.coeffs, rhs)
+            push(-con.coeffs, -rhs)
+    for i in range(n):
+        hi = lp.upper[i] - shift[i]
+        if np.isfinite(hi):
+            e = np.zeros(n)
+            e[i] = 1.0
+            push(e, hi)
+
+    m = len(rows_a)
+    A = np.vstack(rows_a) if m else np.zeros((0, n))
+    b = np.array(rows_b)
+    neg = b < 0
+    n_art = int(neg.sum())
+    n_cols = n + m + n_art
+    if max_pivots is None:
+        max_pivots = 200 + 40 * (m + n_cols)
+    T = np.zeros((m + 1, n_cols + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = np.arange(n, n + m)
+    art = 0
+    art_cols = []
+    for i in range(m):
+        if neg[i]:
+            T[i] = -T[i]
+            col = n + m + art
+            T[i, col] = 1.0
+            basis[i] = col
+            art_cols.append(col)
+            art += 1
+
+    pivots = 0
+    if n_art:
+        T[-1, :] = 0.0
+        for col in art_cols:
+            T[-1, col] = 1.0
+        for i in range(m):
+            if basis[i] in art_cols:
+                T[-1] -= T[i]
+        status, pivots = _ref_bland_loop(T, basis, n_cols, max_pivots, pivots)
+        if status == "unbounded":
+            raise LpError("phase-1 objective reported unbounded")
+        if T[-1, -1] < -lp_mod.FEAS_TOL:
+            return LpSolution("infeasible", None, None, pivots)
+        drop_rows = []
+        for i in range(m):
+            if basis[i] not in art_cols:
+                continue
+            row = T[i, : n + m]
+            nz = np.nonzero(np.abs(row) > lp_mod.PIVOT_TOL)[0]
+            if len(nz) == 0:
+                drop_rows.append(i)
+            else:
+                _ref_pivot(T, basis, i, int(nz[0]))
+                pivots += 1
+        if drop_rows:
+            keep = [i for i in range(m) if i not in set(drop_rows)]
+            T = np.vstack([T[keep], T[-1:]])
+            basis = basis[keep]
+            m = len(keep)
+        T = np.delete(T, art_cols, axis=1)
+
+    T[-1, :] = 0.0
+    T[-1, :n] = -lp.objective
+    for i in range(len(basis)):
+        j = basis[i]
+        if abs(T[-1, j]) > 0:
+            T[-1] -= T[-1, j] * T[i]
+    n_cols = T.shape[1] - 1
+    status, pivots = _ref_bland_loop(T, basis, n_cols, max_pivots, pivots)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, pivots)
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = T[i, -1]
+    x = x + shift
+    return LpSolution("optimal", x, float(lp.objective @ x), pivots)
+
+
+def _outcome(solver, lp, **kwargs):
+    """(status, pivots, x bytes, objective bytes), or the LpError message."""
+    try:
+        sol = solver(lp, **kwargs)
+    except LpError as exc:
+        return ("LpError", str(exc))
+    x = None if sol.x is None else sol.x.tobytes()
+    obj = None if sol.objective is None else np.float64(sol.objective).tobytes()
+    return (sol.status, sol.pivots, x, obj)
+
+
+def _dcg_residual_lps(seeds=(0, 1, 2)):
+    """Every program ``ptas_dcg`` hands the simplex on ``gen_setsystem(6, 6, 3)``
+    fixtures, cut rows included, copied as they were solved."""
+    caught = []
+    real = lp_mod.solve_lp
+
+    def record(prog, *args, **kwargs):
+        caught.append(prog.copy())
+        return real(prog, *args, **kwargs)
+
+    lp_mod.solve_lp = record
+    try:
+        for seed in seeds:
+            inst = gen_setsystem(6, 6, 3, seed)
+            ptas_dcg(inst, 0.1, RngState(seed), u=2, gamma=0.05, trials=2)
+    finally:
+        lp_mod.solve_lp = real
+    return caught
+
+
+def _random_lp(rng):
+    """Small LP over integer-valued data (degenerate vertices are common),
+    mixing <=, >= and == rows, nonzero lower bounds and missing upper bounds."""
+    n = int(rng.integers(1, 6))
+    lower = np.where(rng.random(n) < 0.4, rng.integers(-2, 3, n).astype(float), 0.0)
+    upper = np.where(rng.random(n) < 0.7, lower + rng.integers(0, 4, n), np.inf)
+    lp = LinearProgram(n, rng.integers(-3, 4, n).astype(float), lower=lower, upper=upper)
+    for _ in range(int(rng.integers(0, 6))):
+        rel = ("<=", ">=", "==")[int(rng.integers(0, 3))]
+        lp.add_constraint(rng.integers(-2, 3, n).astype(float), rel, float(rng.integers(-2, 5)))
+    return lp
+
+
+def _special_lps():
+    dup = _lp([1, 2], rows=[([1, 1], "==", 1), ([1, 1], "==", 1)], upper=np.ones(2))
+    return {
+        "infeasible": _lp([1], rows=[([1], ">=", 2.0)], upper=np.array([1.0])),
+        "unbounded": _lp([1, 1], rows=[([1, -1], "<=", 1.0)]),
+        # The repeated equality leaves artificials basic at zero after phase 1.
+        "degenerate-artificial": dup,
+        "nonzero-lower": _lp(
+            [1, -1, 2],
+            rows=[([1, 1, 1], "==", 2.5), ([1, 0, -1], ">=", -1.0), ([0, 1, 1], "<=", 3.0)],
+            lower=np.array([-1.0, 0.5, 0.25]),
+            upper=np.array([2.0, np.inf, 1.5]),
+        ),
+        "no-rows-no-vars": LinearProgram(0, np.zeros(0)),
+    }
+
+
+class TestMatchesReferenceSimplex:
+    def test_dcg_residual_lps(self):
+        lps = _dcg_residual_lps()
+        assert len(lps) > 100
+        assert any(len(p.rows) > 2 * 4 + 6 * 3 for p in lps)  # some carry cut rows
+        for prog in lps:
+            assert _outcome(solve_lp, prog) == _outcome(reference_solve_lp, prog)
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(20261018)
+        statuses = set()
+        for _ in range(600):
+            prog = _random_lp(rng)
+            want = _outcome(reference_solve_lp, prog)
+            assert _outcome(solve_lp, prog) == want
+            statuses.add(want[0])
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("name", sorted(_special_lps()))
+    def test_special_lps(self, name):
+        prog = _special_lps()[name]
+        want = _outcome(reference_solve_lp, prog)
+        assert _outcome(solve_lp, prog) == want
+        if name in ("infeasible", "unbounded"):
+            assert want[0] == name
+
+    def test_degenerate_artificial_is_pivoted_out(self, monkeypatch):
+        # Phase 1 ends with artificials basic at zero; each is pivoted out
+        # before phase 2 starts, and those pivots count.
+        phases = []
+        real = lp_mod._bland_loop
+
+        def spy(T, basis, n_cols, max_pivots, pivots_done):
+            out = real(T, basis, n_cols, max_pivots, pivots_done)
+            phases.append((pivots_done, out[1]))
+            return out
+
+        monkeypatch.setattr(lp_mod, "_bland_loop", spy)
+        solve_lp(_special_lps()["degenerate-artificial"])
+        (_, phase1_end), (phase2_start, _) = phases
+        assert phase2_start > phase1_end
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5])
+    def test_pivot_budget(self, budget):
+        rng = np.random.default_rng(budget)
+        for _ in range(40):
+            prog = _random_lp(rng)
+            want = _outcome(reference_solve_lp, prog, max_pivots=budget)
+            assert _outcome(solve_lp, prog, max_pivots=budget) == want
+
+    def test_ptas_dcg_lp_counters(self, monkeypatch):
+        inst = gen_setsystem(6, 6, 3, 5)
+        got = ptas_dcg(inst, 0.1, RngState(5), u=2, gamma=0.05, trials=3).diagnostics
+        solves = []
+
+        def reference(prog, *args, **kwargs):
+            sol = reference_solve_lp(prog, *args, **kwargs)
+            solves.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(lp_mod, "solve_lp", reference)
+        want = ptas_dcg(inst, 0.1, RngState(5), u=2, gamma=0.05, trials=3).diagnostics
+        assert got == want
+        assert got["lp_pivots"] == sum(solves) > 0
+        assert got["lp_solves"] == len(solves)
+        # 6 * 5 ordered two-element prefixes over 15 element pairs.
+        assert got["prefixes"] == 30
+        assert got["lp_cache_hits"] == 15
+
+
+# ---------------------------------------------------------------------------
+# Differential test against HiGHS: objectives and statuses, not vertices.
+
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _highs(lp):
+    optimize = pytest.importorskip("scipy.optimize")
+    ub = [(c.coeffs if c.rel == "<=" else -c.coeffs, c.rhs if c.rel == "<=" else -c.rhs)
+          for c in lp.rows if c.rel != "=="]
+    eq = [(c.coeffs, c.rhs) for c in lp.rows if c.rel == "=="]
+
+    def stack(pairs):
+        if not pairs:
+            return None, None
+        return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+    a_ub, b_ub = stack(ub)
+    a_eq, b_eq = stack(eq)
+    bounds = [(lo, None if np.isinf(hi) else hi) for lo, hi in zip(lp.lower, lp.upper)]
+    res = optimize.linprog(-lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                           bounds=bounds, method="highs")
+    return _HIGHS_STATUS[res.status], (None if res.status else -res.fun)
+
+
+class TestAgainstHighs:
+    def test_random_lps(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            prog = _random_lp(rng)
+            sol = solve_lp(prog)
+            status, objective = _highs(prog)
+            assert sol.status == status
+            if status == "optimal":
+                assert sol.objective == pytest.approx(objective, abs=1e-7)
+
+    def test_dcg_residual_lps(self):
+        pytest.importorskip("scipy")
+        for prog in _dcg_residual_lps(seeds=(0,)):
+            sol = solve_lp(prog)
+            status, objective = _highs(prog)
+            assert sol.status == status == "optimal"
+            assert sol.objective == pytest.approx(objective, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solve_dcg_lp_matches_full_cover_family(self, seed):
+        # HiGHS solves the relaxation with every knapsack-cover row written
+        # out; the cut loop must reach the same optimum.
+        optimize = pytest.importorskip("scipy.optimize")
+        inst = gen_setsystem(5, 4, 3, seed)
+        f = GainFunction("dcg", shift=seed % 3)
+        n, m = inst.n, inst.m
+        nx = n * n
+
+        def x(e, t):
+            return e * n + t
+
+        def y(s, t):
+            return nx + s * n + t
+
+        c = np.zeros(nx + m * n)
+        for s in range(m):
+            for t in range(n):
+                c[y(s, t)] = f(t + 1) - (f(t + 2) if t + 1 < n else 0.0)
+        a_eq, a_ub, b_ub = [], [], []
+        for i in range(n):
+            slot, elem = np.zeros(len(c)), np.zeros(len(c))
+            for j in range(n):
+                slot[x(j, i)] = elem[x(i, j)] = 1.0
+            a_eq += [slot, elem]
+        for s, (members, k) in enumerate(inst.sets):
+            for t in range(n):
+                if t:
+                    row = np.zeros(len(c))
+                    row[y(s, t - 1)], row[y(s, t)] = 1.0, -1.0
+                    a_ub.append(row)
+                    b_ub.append(0.0)
+                for size in range(k):
+                    for A in combinations(sorted(members), size):
+                        row = np.zeros(len(c))
+                        for e in set(members) - set(A):
+                            for tp in range(t + 1):
+                                row[x(e, tp)] = -1.0
+                        row[y(s, t)] = k - size
+                        a_ub.append(row)
+                        b_ub.append(0.0)
+        bounds = [(0, None)] * nx + [(0, 1)] * (m * n)
+        want = optimize.linprog(-c, A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq),
+                                b_eq=np.ones(2 * n), bounds=bounds, method="highs")
+        assert want.status == 0
+        got = solve_dcg_lp(inst, f)
+        assert got.loop.clean
+        assert got.objective == pytest.approx(-want.fun, abs=1e-7)

@@ -18,6 +18,7 @@ from divopt.ranking import (
     _round_orders,
     DcgLpLayout,
     GainFunction,
+    KnapsackCut,
     Ranking,
     RoundingParams,
     brute_force_dcg,
@@ -137,6 +138,43 @@ class TestLpConstruction:
                 assert c == pytest.approx(f(t) - f(t + 1))
             assert lp.objective[layout.y_index(s, 3)] == pytest.approx(f(3))
         assert not lp.objective[: 9].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_match_per_element_restatement(self, seed):
+        # Objective, assignment rows and cover cuts, entry by entry, as the
+        # layout's index helpers place them; bit-equal to the slices.
+        inst = gen_setsystem(5, 4, 3, seed)
+        f = GainFunction("dcg", shift=seed)
+        lp, layout = build_dcg_lp(inst, f)
+        n = inst.n
+        obj = np.zeros(layout.n_vars)
+        for s in range(inst.m):
+            for t in range(1, n + 1):
+                obj[layout.y_index(s, t)] = f(t) - f(t + 1) if t < n else f(n)
+        assert lp.objective.tobytes() == obj.tobytes()
+        rows = {row.key: row.coeffs for row in lp.rows}
+        for t in range(1, n + 1):
+            want = np.zeros(layout.n_vars)
+            for e in range(n):
+                want[layout.x_index(e, t)] = 1.0
+            assert rows[("slot", t)].tobytes() == want.tobytes()
+        for e in range(n):
+            want = np.zeros(layout.n_vars)
+            for t in range(1, n + 1):
+                want[layout.x_index(e, t)] = 1.0
+            assert rows[("elem", e)].tobytes() == want.tobytes()
+        for s, (members, k) in enumerate(inst.sets):
+            for t in range(1, n + 1):
+                for size in range(k):
+                    for A in itertools.combinations(sorted(members), size):
+                        got = KnapsackCut(s, t, A).to_constraint(inst, layout)
+                        want = np.zeros(layout.n_vars)
+                        for e in sorted(members - set(A)):
+                            for tp in range(1, t + 1):
+                                want[layout.x_index(e, tp)] += 1.0
+                        want[layout.y_index(s, t)] = -(k - len(A))
+                        assert got.coeffs.tobytes() == want.tobytes()
+                        assert (got.rel, got.rhs, got.key) == (">=", 0.0, ("kc", s, t, A))
 
     def test_single_element_optimum(self):
         inst = SetSystemInstance(n=1, sets=(((0,), 1),))

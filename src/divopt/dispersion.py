@@ -22,6 +22,8 @@ from .core import (
     InstanceError,
     MetricInstance,
     RngState,
+    SubmodularSpec,
+    as_value_oracle,
     disp,
     disp_cross,
     dive,
@@ -111,6 +113,34 @@ def build_dks_from_ball(
     return reduced, BallDecomposition(u, v, delta, delta_star, nodes, ring, outside, k)
 
 
+class _BallBonus:
+    """The bonus over one ball's local indices, as the density solver sees it:
+    h(C) = f(fixed | {nodes[i] : i in C}) / (k (k-1) delta*), where fixed
+    holds the points outside the ball and the forced ring.
+
+    Calling it evaluates f once per set.  When f is an unweighted coverage
+    spec it is also ``batchable``: ``batch_value`` scores every 0/1 row of a
+    local membership matrix in one product, with the bits of the call.
+    """
+
+    def __init__(self, f, ball: BallDecomposition):
+        self.f = f
+        self.oracle = as_value_oracle(f)
+        self.fixed = frozenset(ball.outside) | frozenset(ball.forced)
+        self.nodes = ball.nodes
+        self.scale = ball.k * (ball.k - 1) * ball.delta_star
+        self.batchable = isinstance(f, SubmodularSpec) and f.batchable
+
+    def __call__(self, C) -> float:
+        return self.oracle(self.fixed | frozenset(self.nodes[i] for i in C)) / self.scale
+
+    def batch_value(self, M: np.ndarray) -> np.ndarray:
+        rows = np.zeros((len(M), self.f.n))
+        rows[:, list(self.nodes)] = M
+        rows[:, list(self.fixed)] = 1.0
+        return self.f.batch_value(rows) / self.scale
+
+
 @dataclass(frozen=True)
 class LemmaCheck:
     ratio: float
@@ -190,21 +220,21 @@ def qptas_dispersion(
 
 
 def _ball_scheme(
-    inst: MetricInstance, p: int, epsilon: float, rng: RngState, oracle, greedy,
+    inst: MetricInstance, p: int, epsilon: float, rng: RngState, f, greedy,
     inner_gamma: float | None, **inner,
 ) -> tuple[tuple, float, str, dict]:
-    """The pair loop of both schemes: maximize disp + oracle (None means f = 0)
-    against the ``greedy()`` baseline, passing ``inner`` (mode, enum_cap,
-    exact_budget) to the density solver; returns (selection, value, origin,
-    diagnostics)."""
+    """The pair loop of both schemes: maximize disp + f (a SubmodularSpec or
+    a value oracle; None means no bonus) against the ``greedy()`` baseline,
+    passing ``inner`` (mode, enum_cap, exact_budget) to the density solver;
+    returns (selection, value, origin, diagnostics)."""
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
     if not 2 <= p <= inst.n:
         raise InstanceError("need 2 <= p <= n")
-    if oracle is None:
+    if f is None:
         key, value = "inner_epsilon", lambda sel: disp(sel, inst)
     else:
-        key, value = "inner_gamma", lambda sel: dive(sel, inst, oracle)
+        key, value = "inner_gamma", lambda sel: dive(sel, inst, f)
     theory = 0.00005 * epsilon**2
     gamma = inner_gamma if inner_gamma is not None else theory
     diagnostics: dict = {
@@ -216,6 +246,7 @@ def _ball_scheme(
         "pairs_admissible": 0,
         "best_pair": None,
         "best_pair_index": None,
+        "randomness_used": False,
     }
     if p == inst.n:
         sel = tuple(range(inst.n))
@@ -236,16 +267,10 @@ def _ball_scheme(
             skips[skip.reason] = skips.get(skip.reason, 0) + 1
             continue
         diagnostics["pairs_admissible"] += 1
-        bonus = None
-        if oracle is not None:
-            fixed = frozenset(ball.outside) | frozenset(ball.forced)
-            scale = ball.k * (ball.k - 1) * ball.delta_star
-
-            def bonus(C):
-                return oracle(fixed | frozenset(ball.nodes[i] for i in C)) / scale
-
+        bonus = None if f is None else _BallBonus(f, ball)
         params = dks.SubDksParams(gamma=gamma, **inner)
         res = dks.submodular_dks(sub, bonus, params, rng.child("pair", idx))
+        diagnostics["randomness_used"] |= res.diagnostics["randomness_used"]
         sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in res.nodes}))
         val = value(sel)
         if val > best_val or (val == best_val and (best_sel is None or sel < best_sel)):

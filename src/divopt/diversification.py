@@ -4,7 +4,8 @@ The (center, witness) ball loop is the one dispersion uses
 (``dispersion._ball_scheme``); the only new ingredient is that the bonus
 function rides into the density solver as a rescaled value oracle over the
 ball's ground set, with the points outside the core ball fixed inside every
-evaluation.
+evaluation.  An unweighted coverage bonus is scored for all of a ball's
+candidates in one matrix product; any other bonus once per candidate.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def diversify(
     """
     inst = dinst.metric
     oracle = as_value_oracle(dinst.f)
+    f = oracle if dinst.f is None else dinst.f
     sel, val, origin, diagnostics = _ball_scheme(
-        inst, dinst.p, epsilon, rng, oracle, lambda: greedy_diversification(dinst), inner_gamma,
+        inst, dinst.p, epsilon, rng, f, lambda: greedy_diversification(dinst), inner_gamma,
         mode=inner_mode, enum_cap=enum_cap, exact_budget=exact_budget,
     )
     return DiversificationResult(

@@ -300,14 +300,18 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
 
     Expected-value guarantee (over the random partition) of
     (1 - 1/e - gamma) h(OPT) + den(OPT) - gamma with theoretical parameters;
-    the one-cell case (always at desk scale) is deterministic.
+    the one-cell case (always at desk scale) is deterministic, and
+    diagnostics ``randomness_used`` says whether a partition or a repair
+    permutation was drawn.  There a ``batchable`` bonus (an unweighted
+    coverage spec, or the ball scheme's view of one) scores every candidate
+    in one ``batch_value`` call; any other bonus is called per candidate.
     """
     horacle = _bonus_oracle(h, inst)
     n = inst.n
     I = sorted(inst.forced)
     k = inst.k
     kp = k - len(I)
-    diagnostics: dict = {"k_prime": kp}
+    diagnostics: dict = {"k_prime": kp, "randomness_used": False}
     if kp == 0:
         T = tuple(I)
         hv = float(horacle(frozenset(T)))
@@ -337,6 +341,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     else:
         draws = rng.gen.integers(0, s, size=len(Vp))
         assignment = {v: int(d) for v, d in zip(Vp, draws)}
+        diagnostics["randomness_used"] = True
     parts = [[v for v in Vp if assignment[v] == i] for i in range(s)]
 
     cand_cap_hit = False
@@ -357,6 +362,8 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         return T, float(horacle(frozenset(T))), _den_or_zero(T, inst)
 
     def batch_profiles(subsets: Sequence[tuple]):
+        """Membership rows, mean weight profiles, membership profiles and
+        team densities of the given free-node subsets."""
         B = np.zeros((len(subsets), n))
         lens = [len(sub) for sub in subsets]
         cols = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=sum(lens))
@@ -370,7 +377,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         size_T = sizes + len(I)
         pairs = size_T * (size_T - 1) / 2.0
         dens = np.where(size_T >= 2, w_tot / np.maximum(pairs, 1.0), 0.0)
-        return prof, mn, dens
+        return B, prof, mn, dens
 
     repairs = 0
     best: tuple | None = None  # ((value,), T, h, d)
@@ -401,16 +408,19 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         best anchor density first), all enumerated anchors' profiles and
         their self terms."""
         anchors, _ = _enumerate_subsets(Vp, 1, hi, 10 * params.enum_cap)
-        aprof, amn, adens = batch_profiles(anchors)
+        _, aprof, amn, adens = batch_profiles(anchors)
         aorder = np.lexsort((np.arange(len(anchors)), -adens))[: params.enum_cap]
         return aorder, aprof, (amn * aprof).sum(axis=1)
 
     if use_fast:
         # k <= n gives k' <= |V'| and enum_cap >= 1, so cands is never empty.
         cands = part_cands[0]
-        cprof, cmn, cdens = batch_profiles(cands)
+        B, cprof, cmn, cdens = batch_profiles(cands)
         if h is None:
             ch = np.zeros(len(cands))
+        elif getattr(h, "batchable", False):
+            B[:, I] = 1.0  # rows now mark each candidate's team
+            ch = h.batch_value(B)
         else:
             ch = np.array([horacle(frozenset(set(I) | set(c))) for c in cands])
 
@@ -455,7 +465,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         aorder, aprof, aself = anchor_scan()
         cells = []  # (candidates, scanned anchors x candidates admissions)
         for cands in part_cands:
-            cprof, cmn, _ = batch_profiles(cands)
+            _, cprof, cmn, _ = batch_profiles(cands)
             cond9 = _cond9(cmn, aprof, aself, gp)[:, aorder]
             cells.append((cands, _admit(aprof[aorder], cprof, cond9, gp)))
         union = lambda sel: set(I) | set().union(*(set(c) for c in sel if c is not None))
@@ -473,6 +483,7 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
             if len(Ztilde) > kp:
                 repairs += 1
                 perm = rng.child("repair", int(a_idx)).gen.permutation(len(Ztilde))
+                diagnostics["randomness_used"] = True
                 Z = tuple(sorted(Ztilde[i] for i in perm[:kp]))
             elif len(Ztilde) < kp:
                 if Ztilde:

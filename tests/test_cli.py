@@ -199,6 +199,7 @@ class TestSolvers:
         assert payload["algorithm"] == "qptas-dispersion"
         assert len(payload["selection"]) == 3
         assert payload["diagnostics"]["theory_parameters"] is True
+        assert payload["diagnostics"]["randomness_used"] is False
 
     def test_solve_diversification_json(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",
@@ -234,6 +235,15 @@ class TestSolvers:
         assert payload["value"] == pytest.approx(
             payload["h_value"] + payload["den_value"]
         )
+
+    def test_solve_dks_reports_randomness_used(self, tmp_path, capsys):
+        d = gen_file(tmp_path, capsys, "d.json",
+                     "gen", "random-dks", "--n", "7", "--k", "3", "--seed", "4")
+        for s, drawn in (("1", False), ("2", True)):
+            code, out, err = run(capsys, "solve-dks", "--in", str(d), "--epsilon", "1.0",
+                                 "--s", s, "--seed", "1")
+            assert code == 0, err
+            assert json.loads(out)["diagnostics"]["randomness_used"] is drawn
 
     def test_solve_dks_tiny_epsilon_ignores_a_zero_bonus(self, tmp_path, capsys):
         # At this epsilon no candidate's own anchor is sure to admit it, so

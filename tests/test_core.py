@@ -141,6 +141,51 @@ def test_submodular_spec_validation():
         SubmodularSpec(kind="nonsense")
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    universe=st.integers(0, 12),
+)
+def test_coverage_batch_value_equals_value_bit_for_bit(data, n, universe):
+    # Covers may be empty; the rows always include the empty set and the
+    # whole ground set, plus drawn subsets.
+    item = st.integers(0, universe - 1) if universe else st.nothing()
+    covers = data.draw(st.lists(st.frozensets(item), min_size=n, max_size=n))
+    spec = SubmodularSpec(kind="coverage", universe=universe, covers=tuple(covers))
+    drawn = data.draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=10))
+    sets = [frozenset(), frozenset(range(n)), *drawn]
+    M = np.zeros((len(sets), n))
+    for row, S in enumerate(sets):
+        M[row, list(S)] = 1.0
+    assert spec.batchable
+    got = spec.batch_value(M)
+    assert [float(x).hex() for x in got] == [spec.value(S).hex() for S in sets]
+
+
+def test_coverage_batch_value_spans_several_chunks():
+    # 2,000,000 cells per block hold 5 rows of a 400,000-item universe.
+    g = np.random.default_rng(3)
+    covers = tuple(frozenset(g.choice(400_000, size=50, replace=False).tolist()) for _ in range(6))
+    spec = SubmodularSpec(kind="coverage", universe=400_000, covers=covers)
+    sets = [frozenset(np.flatnonzero(g.random(6) < 0.5).tolist()) for _ in range(12)]
+    M = np.zeros((len(sets), 6))
+    for row, S in enumerate(sets):
+        M[row, list(S)] = 1.0
+    assert spec.batch_value(M).tolist() == [spec.value(S) for S in sets]
+
+
+def test_batch_value_refuses_sums_it_cannot_reproduce():
+    specs = (
+        SubmodularSpec(kind="modular", weights=(1.0, 2.0)),
+        SubmodularSpec(kind="coverage", universe=2, covers=({0}, {1}), uweights=(0.5, 1.0)),
+    )
+    for spec in specs:
+        assert not spec.batchable
+        with pytest.raises(InstanceError):
+            spec.batch_value(np.ones((1, 2)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_submodular_spec_rejects_non_finite_weights(bad):
     with pytest.raises(InstanceError, match="finite"):

@@ -1,7 +1,7 @@
 """Tests for the dispersion-plus-bonus solvers."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -18,7 +18,10 @@ from divopt.core import (
     dive,
 )
 from divopt.dispersion import (
+    PairInadmissible,
+    _BallBonus,
     brute_force_dispersion,
+    build_dks_from_ball,
     check_structural_lemma,
     greedy_dispersion,
     qptas_dispersion,
@@ -258,3 +261,92 @@ def test_diversify_property(n, p, seed, metric, kind, epsilon):
     assert (b.selection, b.value, b.origin, b.diagnostics) == (
         a.selection, a.value, a.origin, a.diagnostics
     )
+
+
+def c9_fixtures():
+    """The criterion-9 fixtures: (instance, bonus, p) at epsilon 0.3."""
+    for i in range(20):
+        n = 7 + i % 3
+        inst = gen_random_euclidean(n, 2, seed=800 + i)
+        yield inst, gen_submodular(n, "coverage", seed=800 + i, universe=6), 3 + i % 2
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+class TestBallBonus:
+    def test_batch_equals_the_per_candidate_closure_on_c9(self):
+        pairs = 0
+        for inst, f, p in c9_fixtures():
+            oracle = f.value
+            for u, v in permutations(range(inst.n), 2):
+                try:
+                    sub, ball = build_dks_from_ball(inst, p, u, v, 0.3)
+                except PairInadmissible:
+                    continue
+                pairs += 1
+                fixed = frozenset(ball.outside) | frozenset(ball.forced)
+                scale = ball.k * (ball.k - 1) * ball.delta_star
+
+                def bonus(C):
+                    return oracle(fixed | frozenset(ball.nodes[i] for i in C)) / scale
+
+                # The forced ring alone, then every team the solver scores.
+                forced = tuple(sorted(sub.forced))
+                free = sorted(set(range(sub.n)) - sub.forced)
+                teams = [forced] + [forced + c for c in combinations(free, sub.k - len(forced))]
+                M = np.zeros((len(teams), sub.n))
+                for row, T in enumerate(teams):
+                    M[row, list(T)] = 1.0
+                batched = _BallBonus(f, ball)
+                assert batched.batchable
+                want = [bits(bonus(T)) for T in teams]
+                assert [bits(x) for x in batched.batch_value(M)] == want
+                assert [bits(batched(T)) for T in teams] == want
+        assert pairs > 100
+
+    def test_c9_diversify_draws_no_random_number(self):
+        for inst, f, p in c9_fixtures():
+            res = diversify(DiversificationInstance(inst, f, p), 0.3, RngState(0),
+                            inner_mode="exact", inner_gamma=0.02)
+            assert res.diagnostics["randomness_used"] is False
+
+    def test_plain_callable_bonus_is_scored_per_candidate(self, monkeypatch):
+        batches = []
+        real = SubmodularSpec.batch_value
+        monkeypatch.setattr(SubmodularSpec, "batch_value",
+                            lambda spec, M: batches.append(len(M)) or real(spec, M))
+        for inst, f, p in list(c9_fixtures())[:6]:
+            want = diversify(DiversificationInstance(inst, f, p), 0.3, RngState(0))
+            assert batches
+            batches.clear()
+            calls = []
+            plain = DiversificationInstance(inst, lambda S: calls.append(S) or f.value(S), p)
+            got = diversify(plain, 0.3, RngState(0))
+            assert batches == [] and calls
+            assert got.selection == want.selection
+            assert bits(got.value) == bits(want.value)
+            assert bits(got.f_value) == bits(want.f_value)
+            assert got.diagnostics == want.diagnostics
+
+    def test_large_universe_is_scored_in_blocks(self, monkeypatch):
+        # 200,000 items at n 10: the covers hold about 36,600 of them, so a
+        # block of the batch holds 54 rows and a ball's candidates span
+        # several blocks.
+        g = np.random.default_rng(5)
+        covers = tuple(frozenset(g.choice(200_000, size=4000, replace=False).tolist())
+                       for _ in range(10))
+        f = SubmodularSpec(kind="coverage", universe=200_000, covers=covers)
+        rows = []
+        real = SubmodularSpec.batch_value
+        monkeypatch.setattr(SubmodularSpec, "batch_value",
+                            lambda spec, M: rows.append(len(M)) or real(spec, M))
+        inst = gen_random_euclidean(10, 2, seed=5)
+        got = diversify(DiversificationInstance(inst, f, 3), 0.3, RngState(0), inner_gamma=0.02)
+        assert max(rows) > 2_000_000 // f.incidence.shape[1]
+        plain = DiversificationInstance(inst, lambda S: f.value(S), 3)
+        want = diversify(plain, 0.3, RngState(0), inner_gamma=0.02)
+        assert got.selection == want.selection
+        assert bits(got.value) == bits(want.value)
+        assert got.diagnostics == want.diagnostics

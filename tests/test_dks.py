@@ -524,7 +524,7 @@ def tensor_scan(inst: DksInstance, h, params: SubDksParams):
     hi = math.floor((1.0 + gp) * t + 1e-9)
     assert params.s == 1 and params.t is None and lo == hi == kp >= 1
     diag = {"k_prime": kp, "s": 1, "t": t, "gamma_prime": gp, "size_window": (lo, hi),
-            "mode": params.mode}
+            "mode": params.mode, "randomness_used": False}
     cands, cand_cap_hit = first_subsets(Vp, lo, hi, params.enum_cap)
     diag.update(candidates_per_part=[len(cands)], candidate_cap_hit=cand_cap_hit)
 
@@ -698,6 +698,54 @@ class TestCandidateWalk:
         assert res.den_value == pytest.approx(want[3])
 
 
+def bonus_kinds(n: int, seed: int):
+    """An unweighted coverage bonus (scored in one batch), a weighted one and
+    a modular one (both scored per candidate)."""
+    cover = gen_submodular(n, "coverage", seed=seed, universe=6)
+    weighted = SubmodularSpec("coverage", universe=6, covers=cover.covers,
+                              uweights=tuple(np.random.default_rng(seed).random(6)))
+    return {"coverage": cover, "weighted": weighted,
+            "modular": gen_submodular(n, "modular", seed=seed)}
+
+
+class TestBonusScoring:
+    @pytest.mark.parametrize("kind", ["coverage", "weighted", "modular"])
+    @pytest.mark.parametrize("n, k, forced, seed", [
+        (7, 3, 0, 500), (8, 4, 1, 501), (9, 5, 2, 502), (8, 2, 1, 503),
+    ])
+    def test_matches_tensor_scan_bit_for_bit(self, monkeypatch, n, k, forced, seed, kind):
+        batches = []
+        real = SubmodularSpec.batch_value
+        monkeypatch.setattr(SubmodularSpec, "batch_value",
+                            lambda spec, M: batches.append(len(M)) or real(spec, M))
+        inst = gen_random_dks(n, k, seed=seed, forced_count=forced)
+        h = bonus_kinds(n, seed)[kind]
+        params = desk_params(gamma=0.02)
+        want, _ = tensor_scan(inst, h, params)
+        got = submodular_dks(inst, h, params, RngState(1))
+        assert batches == ([math.comb(n - forced, k - forced)] if kind == "coverage" else [])
+        assert got.nodes == want.nodes
+        assert bits(got.value) == bits(want.value)
+        assert bits(got.h_value) == bits(want.h_value)
+        assert bits(got.den_value) == bits(want.den_value)
+        assert got.diagnostics == want.diagnostics
+
+    def test_large_universe_is_scored_in_blocks(self):
+        # 200,000 items at n 10: a block holds 54 rows and there are 126
+        # candidates.
+        g = np.random.default_rng(5)
+        covers = tuple(frozenset(g.choice(200_000, size=4000, replace=False).tolist())
+                       for _ in range(10))
+        h = SubmodularSpec(kind="coverage", universe=200_000, covers=covers)
+        assert 2_000_000 // h.incidence.shape[1] < math.comb(9, 4)
+        inst = gen_random_dks(10, 5, seed=5, forced_count=1)
+        got = submodular_dks(inst, h, desk_params(gamma=0.02), RngState(0))
+        want = submodular_dks(inst, lambda S: h.value(S), desk_params(gamma=0.02), RngState(0))
+        assert got.nodes == want.nodes
+        assert bits(got.value) == bits(want.value)
+        assert got.diagnostics == want.diagnostics
+
+
 class TestShortcutBound:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -831,7 +879,8 @@ def reference_multi_cell(inst: DksInstance, h, params: SubDksParams, seed: int) 
             "candidate_cap_hit": any(hit for _, hit in part),
             "anchors_total": min(n_anchors, 10 * params.enum_cap),
             "anchor_cap_hit": n_anchors > params.enum_cap,
-            "anchors_used": min(n_anchors, params.enum_cap), "fast_path": False}
+            "anchors_used": min(n_anchors, params.enum_cap), "fast_path": False,
+            "randomness_used": s > 1}
 
     def team(sel):
         return set(I) | set().union(*(set(c) for c in sel if c is not None))

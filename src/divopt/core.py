@@ -20,7 +20,6 @@ __all__ = [
     "GuardExceeded",
     "RngState",
     "derive_seed",
-    "child_uniforms",
     "ValidationReport",
     "MetricInstance",
     "SetSystemInstance",
@@ -69,154 +68,19 @@ def derive_seed(seed: int, *keys) -> int:
     return (int(words[0]) | (int(words[1]) << 32)) & _MASK64
 
 
-# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64 seeding,
-# restated over arrays so that many child streams are derived in one pass.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_SHIFT = np.uint32(16)
-_U64 = np.uint64
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` values of a SeedSequence hash-constant chain,
-    ``c[0] = init`` and ``c[i + 1] = c[i] * mult mod 2^32``, as a (count, 1)
-    uint32 column."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _seed_state(entropy: np.ndarray, keys: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy=e, spawn_key=row).generate_state(n_words, np.uint32)``
-    for every row, as a (B, n_words) uint32 array.
-
-    ``entropy`` holds uint64 values, one per row or one for all; ``keys`` is
-    (B, K) uint64.  Entropy fills the first pool words and is zero-padded to
-    four (with no spawn key SeedSequence hashes zeros there instead, which is
-    the same); each key then adds one word, or two from 2^32 on.  The pool is
-    a (4, rows) array: the hash calls that read one source word, each with the
-    next constant of the chain, run as one array operation.
-    """
-    # Key words packed to the left of each row, so that the j-th word of every
-    # row meets the same hash constant; rows with fewer words stop early.
-    B, K = keys.shape
-    low, high = keys & np.uint64(_MASK32), keys >> np.uint64(32)
-    count = 1 + (high > 0)
-    end = np.cumsum(count, axis=1)
-    packed = np.zeros((B, 2 * K), dtype=np.uint32)
-    rows = np.arange(B)[:, None]
-    packed[rows, end - count] = low
-    r, c = np.nonzero(high)
-    packed[r, end[r, c] - 1] = high[r, c]
-    length = end[:, -1] if K else np.zeros(B, dtype=np.int64)
-    key_words = int(length.max(initial=0))
-
-    hc = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 * key_words + 1)
-    used = 0
-
-    def hashmix(value, calls):
-        """``calls`` successive hashmix calls, the i-th on row i of ``value``."""
-        nonlocal used
-        value = (value ^ hc[used : used + calls]) * hc[used + 1 : used + calls + 1]
-        used += calls
-        return value ^ (value >> _SHIFT)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return r ^ (r >> _SHIFT)
-
-    low, high = entropy & np.uint64(_MASK32), entropy >> np.uint64(32)
-    zero = np.zeros_like(entropy, dtype=np.uint32)
-    pool = hashmix(np.stack((low.astype(np.uint32), high.astype(np.uint32), zero, zero)), 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for j in range(key_words):
-        pool = np.where(j < length, mix(pool, hashmix(packed[:, j], 4)), pool)
-
-    hc = _hash_constants(_INIT_B, _MULT_B, n_words + 1)
-    value = (pool[np.arange(n_words) % 4] ^ hc[:-1]) * hc[1:]
-    out = np.empty((B, n_words), dtype=np.uint32)
-    out[:] = (value ^ (value >> _SHIFT)).T
-    return out
-
-
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of each ``a * b`` (uint64 array times a 64-bit constant),
-    from the four products of 32-bit halves."""
-    a0, a1 = a & _U64(_MASK32), a >> _U64(32)
-    b0, b1 = _U64(b & _MASK32), _U64(b >> 32)
-    lo_lo, hi_lo, lo_hi = a0 * b0, a1 * b0, a0 * b1
-    mid = (lo_lo >> _U64(32)) + (hi_lo & _U64(_MASK32)) + (lo_hi & _U64(_MASK32))
-    return a1 * b1 + (hi_lo >> _U64(32)) + (lo_hi >> _U64(32)) + (mid >> _U64(32))
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(a + b) mod 2^128 over (high, low) uint64 limbs."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-
-
-def _pcg_step(s_hi, s_lo, i_hi, i_lo):
-    """PCG64's LCG step, ``(state * MULT + inc) mod 2^128``, over uint64 limbs."""
-    hi = _mulhi64(s_lo, _MULT_LO) + s_hi * _U64(_MULT_LO) + s_lo * _U64(_MULT_HI)
-    return _add128(hi, s_lo * _U64(_MULT_LO), i_hi, i_lo)
-
-
-def child_uniforms(seed: int, keys, size: int) -> np.ndarray:
-    """``RngState(seed).child(*row).gen.random(size)`` for every row of the
-    (B, K) integer array ``keys``, as one (B, size) array, bit for bit.
-
-    Keys are taken mod 2^64 as ``child`` takes them (pass uint64 for keys
-    from 2^63 on).  The child seeds and PCG64 states of all rows are hashed
-    at once, and all rows' PCG64 streams advance together: each 128-bit state
-    and increment is held as (high, low) uint64 limbs, and each draw is one
-    LCG step then the XSL-RR output (O'Neill 2014), ``rotr(hi ^ lo, hi >> 58)``,
-    whose top 53 bits make the double.
-    """
-    keys = np.asarray(keys)
-    if keys.dtype.kind not in "iu":
-        raise TypeError(f"keys must be an integer array, got dtype {keys.dtype}")
-    if keys.ndim != 2:
-        raise ValueError(f"keys must be a (B, K) array, got shape {keys.shape}")
-    keys = keys.astype(np.uint64)  # wraps negatives as child's & _MASK64 does
-    parent = np.array([int(seed) & _MASK64], dtype=np.uint64)
-    halves = _seed_state(parent, keys, 2).astype(np.uint64)
-    seeds = halves[:, 0] | (halves[:, 1] << _U64(32))
-    halves = _seed_state(seeds, keys[:, :0], 8).astype(np.uint64)
-    s_hi, s_lo, i_hi, i_lo = (halves[:, 0::2] | (halves[:, 1::2] << _U64(32))).T
-    # pcg64_set_seed: inc = 2 * initseq + 1; state = step(step(0) + initstate).
-    i_hi, i_lo = (i_hi << _U64(1)) | (i_lo >> _U64(63)), (i_lo << _U64(1)) | _U64(1)
-    s_hi, s_lo = _pcg_step(*_add128(s_hi, s_lo, i_hi, i_lo), i_hi, i_lo)
-    bits = np.empty((len(keys), size), dtype=np.uint64)
-    for t in range(size):
-        s_hi, s_lo = _pcg_step(s_hi, s_lo, i_hi, i_lo)
-        x, rot = s_hi ^ s_lo, s_hi >> _U64(58)
-        bits[:, t] = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
-    return (bits >> _U64(11)) * 2.0**-53
-
-
 class RngState:
     """A 64-bit seed plus the PCG64 generator it determines.
 
     All randomized solvers take one of these explicitly; identical seeds give
     identical draw sequences on every platform.  ``child(*keys)`` derives an
-    independent stream for a sub-task, so per-trial work is reproducible no
+    independent stream for a sub-task, so per-task work is reproducible no
     matter how the surrounding loops are executed: the child seed is the
     first 64 bits of ``SeedSequence(entropy=seed, spawn_key=keys)`` and the
     child stream is ``PCG64`` seeded with it.  A child checks its keys at once
     but hashes its seed only when ``seed`` or ``gen`` is first read, since
-    many child streams are never drawn from.  ``child_uniforms`` derives and
-    draws from many children of one seed in one vectorized batch, with the
-    same numbers; a differential test pins that batch to numpy's own
-    SeedSequence and PCG64.
+    many child streams are never drawn from.  ``ptas_dcg`` takes one child
+    per rounded prefix and draws all of that prefix's trials from it in one
+    call.
     """
 
     __slots__ = ("_seed", "_gen", "_parent")

@@ -237,6 +237,7 @@ def _ball_scheme(
         key, value = "inner_gamma", lambda sel: dive(sel, inst, f)
     theory = 0.00005 * epsilon**2
     gamma = inner_gamma if inner_gamma is not None else theory
+    params = dks.SubDksParams(gamma=gamma, **inner)  # checked even when p == n
     diagnostics: dict = {
         key: gamma,
         f"{key}_theory": theory,
@@ -268,7 +269,6 @@ def _ball_scheme(
             continue
         diagnostics["pairs_admissible"] += 1
         bonus = None if f is None else _BallBonus(f, ball)
-        params = dks.SubDksParams(gamma=gamma, **inner)
         res = dks.submodular_dks(sub, bonus, params, rng.child("pair", idx))
         diagnostics["randomness_used"] |= res.diagnostics["randomness_used"]
         sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in res.nodes}))

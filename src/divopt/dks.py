@@ -331,6 +331,8 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     t = float(params.t) if params.t is not None else kp / s
     lo = max(1, math.ceil((1.0 - gp) * t - 1e-9))
     hi = math.floor((1.0 + gp) * t + 1e-9)
+    if lo > hi:  # no integer within gamma' of t: take its neighbours
+        lo, hi = max(1, math.floor(t)), math.ceil(t)
     diagnostics.update(
         {"s": s, "t": t, "gamma_prime": gp, "size_window": (lo, hi), "mode": params.mode}
     )

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import GuardExceeded, InstanceError, RngState, SetSystemInstance, child_uniforms
+from .core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from .lp import Constraint, CutLoopResult, LinearProgram, solve_with_cuts
 
 __all__ = [
@@ -289,20 +289,19 @@ def _round_orders(
     f: GainFunction,
     params: RoundingParams,
     rng: RngState,
-    keys: np.ndarray | None = None,
+    trials: int,
 ) -> np.ndarray:
-    """Local orders of one randomized rounding pass per stream, as (streams, n).
-
-    The streams are ``rng`` itself when ``keys`` is None, else
-    ``rng.child(*row)`` for each row of the (B, K) ``keys``, drawn in one batch.
+    """Local orders of ``trials`` randomized rounding passes, as (trials, n).
 
     Phase i targets t_i = min(n, 2^i); element e joins the phase's block
     independently with probability min(1, z_{e,i} / (gamma * f(t_i))) where
     z_{e,i} is e's LP mass on the first t_i positions.  Blocks are
     concatenated (ascending index inside a block, repeats skipped) and any
     leftover elements are appended in ascending order, so each row is a full
-    permutation: the elements sorted by (first joining phase, index).  Each
-    stream draws its phases x n uniforms phase by phase.
+    permutation: the elements sorted by (first joining phase, index).  All
+    trials draw from ``rng`` in one call: trial t reads the t-th block of
+    phases x n uniforms, phase by phase, so its draws depend neither on
+    ``trials`` nor on anything drawn from other streams.
     """
     n = inst.n
     xstar = np.asarray(xstar, dtype=float)
@@ -311,14 +310,10 @@ def _round_orders(
     targets = [min(n, 2**i) for i in range(1, phases + 1)]
     z = np.array([xstar[:, :t_i].sum(axis=1) for t_i in targets]).reshape(phases, n)
     p = np.minimum(1.0, z / (params.gamma * np.array([f(t_i) for t_i in targets]))[:, None])
-    if keys is None:
-        draws = rng.gen.random((1, phases * n))
-    else:
-        draws = child_uniforms(rng.seed, keys, phases * n)
-    draws = draws.reshape(len(draws), phases, n)
+    draws = rng.gen.random((trials, phases, n))
     # The always-true last row stands for "never joined"; it is also the only
     # row when n == 1 leaves no phases, so every element gets first phase 0.
-    never = np.ones((len(draws), 1, n), dtype=bool)
+    never = np.ones((trials, 1, n), dtype=bool)
     first = np.concatenate([draws < p, never], axis=1).argmax(axis=1)
     return np.argsort(first, axis=1, kind="stable")
 
@@ -331,8 +326,12 @@ def round_lp(
     params: RoundingParams,
     rng: RngState,
 ) -> Ranking:
-    """One randomized rounding pass over doubling prefixes (see _round_orders)."""
-    return Ranking.from_order(_round_orders(xstar, inst, f, params, rng)[0], inst)
+    """One randomized rounding pass over doubling prefixes (see _round_orders).
+
+    Successive calls on one stream read its successive trial blocks, so they
+    repeat the trials ``ptas_dcg`` draws from that stream, in order.
+    """
+    return Ranking.from_order(_round_orders(xstar, inst, f, params, rng, 1)[0], inst)
 
 
 def tstar_bound(ystar: np.ndarray, inst: SetSystemInstance, f: GainFunction, eta: float) -> float:
@@ -447,13 +446,14 @@ def ptas_dcg(
 
     Defaults derived from epsilon: eta = epsilon, gamma = eta / (6 ln(1/eta)),
     u = 2, trials = 200.  Small epsilon is the analyzed regime; larger values
-    are accepted only together with explicit overrides.  Per-trial randomness
-    comes from child streams keyed by (prefix index, trial index), so results
-    do not depend on evaluation order.  The trials of one prefix draw their
-    streams, and are rounded and scored, as one batch; diagnostics
-    ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is None
-    when no rounding produced it), ``rounding_streams`` counts the streams
-    drawn and ``randomness_used`` says whether there were any.  ``lp_solves``
+    are accepted only together with explicit overrides.  Each rounded prefix
+    draws all its trials from one child stream, ``rng.child(prefix index)``,
+    trial t reading the stream's t-th block, so results do not depend on
+    evaluation order.  The trials of one prefix are drawn, rounded and
+    scored as one batch; diagnostics ``best_prefix`` and ``best_trial`` name
+    the winner (``best_trial`` is None when no rounding produced it),
+    ``rounding_streams`` counts the streams drawn, one per rounded prefix,
+    and ``randomness_used`` says whether there were any.  ``lp_solves``
     and ``lp_pivots`` count the simplex solves and pivots of the residual
     relaxations, and ``lp_cache_hits`` the prefixes that reuse the residual of
     an earlier prefix with the same element set.  Prefix length
@@ -545,9 +545,8 @@ def ptas_dcg(
         if res is None:
             orders = np.array([prefix + tuple(rest)])
         else:
-            keys = np.column_stack((np.full(params.trials, pidx), np.arange(params.trials)))
-            local = _round_orders(res.x, res_inst, res_gain, params, rng, keys)
-            diagnostics["rounding_streams"] += params.trials
+            local = _round_orders(res.x, res_inst, res_gain, params, rng.child(pidx), params.trials)
+            diagnostics["rounding_streams"] += 1
             orders = np.hstack([np.tile(prefix, (len(local), 1)), np.asarray(rest)[local]])
         row, val = _best_candidate(orders, sets, gains)
         order = tuple(int(e) for e in orders[row])

@@ -245,6 +245,27 @@ class TestSolvers:
             assert code == 0, err
             assert json.loads(out)["diagnostics"]["randomness_used"] is drawn
 
+    def test_solve_dks_size_window_is_never_empty(self, tmp_path, capsys):
+        # t = k' / s = 1.5 has no integer within gamma' of it; the window is
+        # then [floor t, ceil t], so both cells get candidates.
+        d = gen_file(tmp_path, capsys, "d.json",
+                     "gen", "random-dks", "--n", "7", "--k", "3", "--seed", "1")
+        code, out, err = run(capsys, "solve-dks", "--in", str(d), "--s", "2",
+                             "--epsilon", "1.0", "--seed", "1")
+        assert code == 0, err
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["size_window"] == [1, 2]
+        assert all(count > 0 for count in diagnostics["candidates_per_part"])
+
+    def test_solve_dispersion_p_n_checks_inner_gamma(self, tmp_path, capsys):
+        m = gen_file(tmp_path, capsys, "m.json",
+                     "gen", "euclidean", "--n", "6", "--seed", "1")
+        code, out, err = run(capsys, "solve-dispersion", "--in", str(m), "--p", "6",
+                             "--epsilon", "0.5", "--inner-gamma", "5")
+        assert code == 2
+        assert out == ""
+        assert "gamma must lie in (0, 1]" in err
+
     def test_solve_dks_tiny_epsilon_ignores_a_zero_bonus(self, tmp_path, capsys):
         # At this epsilon no candidate's own anchor is sure to admit it, so
         # the one-cell solve must walk the anchors with or without a bonus.

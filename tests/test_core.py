@@ -15,7 +15,6 @@ from divopt import (
     RngState,
     SetSystemInstance,
     SubmodularSpec,
-    child_uniforms,
     derive_seed,
     disp,
     disp_cross,
@@ -299,114 +298,3 @@ def test_rng_child_checks_keys_at_once_and_hashes_on_first_read(monkeypatch):
     grandchild = kid.child(7)
     assert len(calls) == 1
     assert grandchild.seed == derive_seed(kid.seed, 7)
-
-
-# Seeds and keys at the word boundaries of numpy's SeedSequence: one 32-bit
-# word, two words, the 64-bit ends, and (seeds only) values RngState masks.
-_WORD = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-)
-_SEED = st.one_of(_WORD, st.integers(-(2**70), -1), st.integers(2**64, 2**80))
-
-
-@st.composite
-def _key_batches(draw):
-    width = draw(st.integers(0, 3))
-    return draw(st.lists(st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=6))
-
-
-class TestChildUniformsMatchesNumpy:
-    """The batched streams are numpy's SeedSequence and PCG64 restated; if
-    numpy changes either algorithm, these comparisons fail."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(_SEED, _key_batches(), st.integers(1, 10))
-    def test_seed_sequence_state(self, seed, rows, n_words):
-        entropy = int(seed) & (2**64 - 1)
-        got = core._seed_state(
-            np.array([entropy], dtype=np.uint64), np.array(rows, dtype=np.uint64), n_words
-        )
-        for row, words in zip(rows, got):
-            ss = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(row))
-            assert np.array_equal(words, ss.generate_state(n_words, np.uint32))
-        # One entropy per row and no spawn key, as in PCG64 seeding.
-        seeds = [row[0] if row else entropy for row in rows]
-        got = core._seed_state(
-            np.array(seeds, dtype=np.uint64), np.zeros((len(rows), 0), dtype=np.uint64), n_words
-        )
-        for seed_row, words in zip(seeds, got):
-            ss = np.random.SeedSequence(seed_row)
-            assert np.array_equal(words, ss.generate_state(n_words, np.uint32))
-
-    @settings(max_examples=150, deadline=None)
-    @given(_SEED, _key_batches(), st.integers(0, 20))
-    def test_uniforms(self, seed, rows, size):
-        got = child_uniforms(seed, np.array(rows, dtype=np.uint64), size)
-        assert got.shape == (len(rows), size)
-        for row, draws in zip(rows, got):
-            numpy_stream = np.random.Generator(np.random.PCG64(derive_seed(seed, *row)))
-            assert np.array_equal(draws, numpy_stream.random(size))
-            assert np.array_equal(draws, RngState(seed).child(*row).gen.random(size))
-
-    @settings(max_examples=60, deadline=None)
-    @given(_SEED, st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
-    def test_signed_keys_wrap_as_child_keys(self, seed, column):
-        keys = np.array(column, dtype=np.int64)[:, None]
-        want = np.array([RngState(seed).child(k).gen.random(6) for k in column])
-        assert np.array_equal(child_uniforms(seed, keys, 6), want)
-
-    def test_rejects_bad_keys(self):
-        with pytest.raises(TypeError):
-            child_uniforms(1, [(2.5,)], 3)
-        with pytest.raises(TypeError):
-            child_uniforms(1, [("pair", 3)], 3)
-        with pytest.raises(ValueError):
-            child_uniforms(1, np.array([1, 2]), 3)
-
-
-_U128 = st.one_of(
-    st.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1]),
-    st.integers(0, 2**128 - 1),
-)
-
-
-def _limbs(values):
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-    lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
-    return hi, lo
-
-
-class TestChildUniformsLimbs:
-    """PCG64 stepped over (high, low) uint64 limbs, against Python integers."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(_U128, _U128), min_size=1, max_size=8))
-    def test_lcg_step(self, pairs):
-        # The carry edges: low limb all ones, high limb all ones, both.
-        pairs = pairs + [(0, 1), (2**64 - 1, 2**64 - 1), (2**128 - 1, 2**128 - 1)]
-        states, incs = zip(*pairs)
-        hi, lo = core._pcg_step(*_limbs(states), *_limbs(incs))
-        want = [(s * core._PCG_MULT + inc) & (2**128 - 1) for s, inc in pairs]
-        assert [(int(h) << 64) | int(l) for h, l in zip(hi, lo)] == want
-
-    def test_no_rows(self):
-        got = child_uniforms(3, np.zeros((0, 2), dtype=np.uint64), 5)
-        assert got.shape == (0, 5)
-        assert got.dtype == np.float64
-
-    def test_no_draws(self):
-        got = child_uniforms(3, np.arange(6).reshape(3, 2), 0)
-        assert got.shape == (3, 0)
-        assert got.dtype == np.float64
-
-    def test_ptas_dcg_batch_shape(self):
-        # ptas_dcg's batch: 200 trials of one prefix, eight draws each.
-        pidx = 17
-        keys = np.column_stack((np.full(200, pidx), np.arange(200)))
-        got = child_uniforms(5, keys, 8)
-        assert got.shape == (200, 8)
-        for trial in range(200):
-            want = RngState(5).child(pidx, trial).gen.random(8)
-            assert got[trial].tobytes() == want.tobytes()

@@ -247,6 +247,15 @@ class TestQptas:
         assert res.origin == "trivial"
         assert res.selection == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("bad", [
+        {"inner_gamma": 5.0}, {"inner_mode": "bogus"}, {"enum_cap": 0},
+    ], ids=["inner-gamma", "inner-mode", "enum-cap"])
+    def test_inner_params_are_checked_when_p_is_n(self, bad):
+        # p == n returns before the pair loop; the inner params are still checked.
+        inst = gen_random_euclidean(5, 2, seed=791)
+        with pytest.raises(InstanceError):
+            qptas_dispersion(inst, 5, 0.5, RngState(0), **bad)
+
     def test_diagnostics_and_overrides(self):
         inst = gen_random_euclidean(8, 2, seed=792)
         res = qptas_dispersion(inst, 3, 0.5, RngState(0))

@@ -147,6 +147,16 @@ class TestDiversify:
         assert res.selection == (0, 1, 2, 3, 4)
         assert res.value == pytest.approx(res.disp_value + res.f_value)
 
+    @pytest.mark.parametrize("bad", [
+        {"inner_gamma": 5.0}, {"inner_mode": "bogus"}, {"enum_cap": 0},
+    ], ids=["inner-gamma", "inner-mode", "enum-cap"])
+    def test_inner_params_are_checked_when_p_is_n(self, bad):
+        # p == n returns before the pair loop; the inner params are still checked.
+        inst = gen_random_euclidean(5, 2, seed=951)
+        f = gen_submodular(5, "coverage", seed=952, universe=4)
+        with pytest.raises(InstanceError):
+            diversify(DiversificationInstance(inst, f, 5), 0.5, RngState(0), **bad)
+
     def test_diagnostics_and_overrides(self):
         dinst = self.coverage_case(953)
         res = diversify(dinst, 0.3, RngState(0))

@@ -322,9 +322,12 @@ class TestSubmodularDks:
         assert diag["repairs"] == 0
 
     def test_no_anchor_fallback(self):
-        # s = 5 gives t = 0.8, whose size window [1, 0] holds no anchor.
-        res = self.solve_uniform(5, None, 3)
-        assert res.diagnostics["t"] == 0.8
+        # s = 5 gives t = 0.8, whose window is [floor t, ceil t] clamped to
+        # [1, 1]; an explicit t = 0 leaves the window [1, 0], with no anchor.
+        assert self.solve_uniform(5, None, 3).diagnostics["size_window"] == (1, 1)
+        res = self.solve_uniform(5, 0.0, 3)
+        assert res.diagnostics["t"] == 0.0
+        assert res.diagnostics["size_window"] == (1, 0)
         assert res.diagnostics["no_anchor_fallback"] is True
         assert res.diagnostics["anchors_used"] == 0
         assert res.nodes == (0, 1, 2, 3)
@@ -866,6 +869,8 @@ def reference_multi_cell(inst: DksInstance, h, params: SubDksParams, seed: int) 
     t = float(params.t) if params.t is not None else kp / s
     lo = max(1, math.ceil((1.0 - gp) * t - 1e-9))
     hi = math.floor((1.0 + gp) * t + 1e-9)
+    if lo > hi:
+        lo, hi = max(1, math.floor(t)), math.ceil(t)
     rng = RngState(seed)
     draws = rng.gen.integers(0, s, size=len(Vp))
     cells = [[v for v, d in zip(Vp, draws) if d == i] for i in range(s)]

@@ -447,7 +447,8 @@ def loop_round(xstar, inst, f, params, rng):
 
 
 def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
-    """ptas_dcg as one round_lp + dcg_value pass per trial (reference).
+    """ptas_dcg as one round_lp + dcg_value pass per trial, the trials of a
+    prefix drawn in turn from its stream rng.child(prefix index) (reference).
 
     Returns (value, order, lp_bound, best prefix, best trial).
     """
@@ -468,8 +469,9 @@ def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
             candidates = [(None, prefix + tuple(rest))]
         else:
             candidates = []
+            stream = rng.child(pidx)
             for trial in range(trials):
-                local = round_lp(res.x, res.y, res_inst, res_gain, params, rng.child(pidx, trial))
+                local = round_lp(res.x, res.y, res_inst, res_gain, params, stream)
                 candidates.append((trial, prefix + tuple(rest[i] for i in local.order)))
         for trial, order in candidates:
             val = dcg_value(order, inst, f)
@@ -517,13 +519,31 @@ class TestBatchedTrials:
         res = solve_dcg_lp(inst, DCG_STANDARD)
         params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
         rng = RngState(seed)
-        keys = np.array([(seed, trial) for trial in range(25)])
-        rows = _round_orders(res.x, inst, DCG_STANDARD, params, rng, keys)
+        rows = _round_orders(res.x, inst, DCG_STANDARD, params, rng.child(seed), 25)
         assert rows.shape == (25, n)
-        for trial, row in enumerate(rows):
-            single = round_lp(res.x, res.y, inst, DCG_STANDARD, params, rng.child(seed, trial))
-            looped = loop_round(res.x, inst, DCG_STANDARD, params, rng.child(seed, trial))
+        single_stream, looped_stream = rng.child(seed), rng.child(seed)
+        for row in rows:
+            single = round_lp(res.x, res.y, inst, DCG_STANDARD, params, single_stream)
+            looped = loop_round(res.x, inst, DCG_STANDARD, params, looped_stream)
             assert tuple(row) == single.order == looped
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (12, 2), (16, 3)])
+    def test_trial_rows_do_not_depend_on_trial_count(self, n, seed):
+        # A uniform fractional assignment keeps join probabilities below 1,
+        # so the trials' orders differ.
+        inst = gen_setsystem(n, 3, 2, seed=700 + seed)
+        x = np.full((n, n), 1.0 / n)
+        params = RoundingParams(gamma=0.45, eta=0.95, trials=1)
+        rng = RngState(seed)
+        many = _round_orders(x, inst, DCG_STANDARD, params, rng.child(3), 40)
+        assert len({tuple(row) for row in many}) > 1
+        for trials in (1, 7, 40):
+            few = _round_orders(x, inst, DCG_STANDARD, params, rng.child(3), trials)
+            assert np.array_equal(few, many[:trials])
+        stream = rng.child(3)
+        assert [tuple(row) for row in many] == [
+            loop_round(x, inst, DCG_STANDARD, params, stream) for _ in range(40)
+        ]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_best_candidate_matches_sequential_scan(self, seed):
@@ -564,7 +584,7 @@ class TestRandomnessDiagnostics:
             _, res_inst, _ = _prefix_state(inst, prefix, DCG_STANDARD)
             rounded += res_inst is not None and res_inst.m > 0
         assert rounded > 0
-        assert res.diagnostics["rounding_streams"] == 7 * rounded
+        assert res.diagnostics["rounding_streams"] == rounded
         assert res.diagnostics["randomness_used"] is True
 
     def test_exhaustive_mode_uses_no_randomness(self):

@@ -79,8 +79,8 @@ class RngState:
     child stream is ``PCG64`` seeded with it.  A child checks its keys at once
     but hashes its seed only when ``seed`` or ``gen`` is first read, since
     many child streams are never drawn from.  ``ptas_dcg`` takes one child
-    per rounded prefix and draws all of that prefix's trials from it in one
-    call.
+    per rounded prefix set and draws all of that set's trials from it in one
+    call; every ordering of the set is scored against those trials.
     """
 
     __slots__ = ("_seed", "_gen", "_parent")

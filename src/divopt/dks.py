@@ -121,8 +121,10 @@ class SubDksParams:
             raise InstanceError("s override must be >= 1")
         if self.enum_cap < 1:
             raise InstanceError("enum_cap must be positive")
-        if self.t is not None and not math.isfinite(self.t):
-            raise InstanceError("t must be finite")
+        if self.exact_budget < 0:
+            raise InstanceError("exact_budget must be non-negative")
+        if self.t is not None and not (math.isfinite(self.t) and self.t > 0):
+            raise InstanceError("t must be finite and positive")
 
 
 @dataclass
@@ -392,14 +394,10 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
 
     # Anchors are the subsets of the free nodes of sizes 1..hi.  The scan
     # enumerates the first 10 * enum_cap of them and uses the enum_cap
-    # densest, so its counts follow in closed form.
+    # densest, so its counts follow in closed form.  t > 0 gives hi >= 1 and
+    # k' >= 1 a free node, so there is always an anchor.
     n_anchors = sum(math.comb(len(Vp), r) for r in range(1, min(hi, len(Vp)) + 1))
     diagnostics["anchors_total"] = min(n_anchors, 10 * params.enum_cap)
-    if not n_anchors:
-        diagnostics["anchors_used"] = 0
-        diagnostics["no_anchor_fallback"] = True
-        T, hv, dv = team_stats(Vp[:kp])
-        return DksResult(T, hv + dv, hv, dv, diagnostics)
     diagnostics["anchor_cap_hit"] = n_anchors > params.enum_cap
     diagnostics["anchors_used"] = min(n_anchors, params.enum_cap)
     use_fast = s == 1 and lo == kp and hi == kp

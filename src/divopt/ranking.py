@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -329,7 +329,8 @@ def round_lp(
     """One randomized rounding pass over doubling prefixes (see _round_orders).
 
     Successive calls on one stream read its successive trial blocks, so they
-    repeat the trials ``ptas_dcg`` draws from that stream, in order.
+    repeat, in order, the trials ``ptas_dcg`` draws from a prefix set's
+    stream and shares among the set's orderings.
     """
     return Ranking.from_order(_round_orders(xstar, inst, f, params, rng, 1)[0], inst)
 
@@ -384,48 +385,35 @@ class RankSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _prefix_state(inst: SetSystemInstance, prefix: tuple, f: GainFunction):
-    """Fixed gain of sets covered inside the prefix plus the residual instance."""
-    fixed = 0.0
-    residual_sets = []
-    prefix_set = set(prefix)
-    for members, k in inst.sets:
-        hits = 0
-        covered_at = None
-        for pos, e in enumerate(prefix, start=1):
-            if e in members:
-                hits += 1
-                if hits == k:
-                    covered_at = pos
-                    break
-        if covered_at is not None:
-            fixed += f(covered_at)
-        else:
-            got = len(members & prefix_set)
-            residual_sets.append((members - prefix_set, k - got))
-    rest = sorted(set(range(inst.n)) - prefix_set)
-    to_local = {e: i for i, e in enumerate(rest)}
-    local_sets = tuple(
-        (frozenset(to_local[e] for e in members), k) for members, k in residual_sets
-    )
-    res_inst = SetSystemInstance(len(rest), local_sets) if rest else None
-    return fixed, res_inst, rest
+def _values(orders: np.ndarray, sets: list, gains: np.ndarray) -> np.ndarray:
+    """Gain of the sets each row of ``orders`` covers; ``gains[t-1]`` is f(t).
+
+    Rows hold L <= n distinct elements, and a set counts when its k-th
+    smallest member position is at most L; that position is its cover time.
+    Gains add set by set from 0.0, the float sums of dcg_value.
+    """
+    rows, length = orders.shape
+    # Elements past the row sit at position L + 1, which reads gain 0.0.
+    pos = np.full((rows, len(gains)), length + 1)
+    pos[np.arange(rows)[:, None], orders] = np.arange(1, length + 1)
+    padded = np.append(gains[:length], 0.0)
+    vals = np.zeros(rows)
+    for members, k in sets:
+        vals += padded[np.partition(pos[:, members], k - 1, axis=1)[:, k - 1] - 1]
+    return vals
 
 
 def _best_candidate(orders: np.ndarray, sets: list, gains: np.ndarray) -> tuple[int, float]:
-    """Row of the best order in ``orders`` and its value; ``gains[t-1]`` is f(t).
+    """Row of the best full order in ``orders`` and its value (see _values).
 
-    A set's cover time is its k-th smallest member position; gains add set by
-    set from 0.0, the float sums of dcg_value.  Ties go to the lexicographically
-    smallest order, then the first row, as a scan keeping strict gains would.
+    Ties go to the lexicographically smallest order, then the first row, as a
+    scan keeping strict gains would.
     """
-    pos = np.empty_like(orders)
-    pos[np.arange(len(orders))[:, None], orders] = np.arange(1, orders.shape[1] + 1)
-    vals = np.zeros(len(orders))
-    for members, k in sets:
-        vals += gains[np.partition(pos[:, members], k - 1, axis=1)[:, k - 1] - 1]
+    vals = _values(orders, sets, gains)
     top = np.flatnonzero(vals == vals.max())
-    row = int(top[np.lexsort(orders[top].T[::-1])[0]])
+    if len(top) > 1:  # np.lexsort needs a key column, which n = 0 lacks
+        top = top[np.lexsort(orders[top].T[::-1])]
+    row = int(top[0])
     return row, float(vals[row])
 
 
@@ -442,23 +430,28 @@ def ptas_dcg(
     max_cut_rounds: int = MAX_CUT_ROUNDS,
     f: GainFunction = DCG_STANDARD,
 ) -> RankSolution:
-    """Enumerate short ordered prefixes, solve the residual LP, round, keep best.
+    """Guess the element set of a short prefix, solve the residual LP, round,
+    and keep the best ordering of the set followed by a rounded residual.
 
     Defaults derived from epsilon: eta = epsilon, gamma = eta / (6 ln(1/eta)),
     u = 2, trials = 200.  Small epsilon is the analyzed regime; larger values
-    are accepted only together with explicit overrides.  Each rounded prefix
-    draws all its trials from one child stream, ``rng.child(prefix index)``,
-    trial t reading the stream's t-th block, so results do not depend on
-    evaluation order.  The trials of one prefix are drawn, rounded and
-    scored as one batch; diagnostics ``best_prefix`` and ``best_trial`` name
-    the winner (``best_trial`` is None when no rounding produced it),
-    ``rounding_streams`` counts the streams drawn, one per rounded prefix,
-    and ``randomness_used`` says whether there were any.  ``lp_solves``
-    and ``lp_pivots`` count the simplex solves and pivots of the residual
-    relaxations, and ``lp_cache_hits`` the prefixes that reuse the residual of
-    an earlier prefix with the same element set.  Prefix length
-    u shrinks until at most ``prefix_cap`` prefixes remain; a cap below n,
-    the count of one-element prefixes, raises GuardExceeded.
+    are accepted only together with explicit overrides.  The residual, its
+    LP and its roundings depend only on which elements the prefix holds, so
+    each u-element set (in ``combinations`` order) is solved and rounded
+    once: it draws all its trials from one child stream, ``rng.child(set
+    index)``, trial t reading the stream's t-th block, and every ordering of
+    the set is scored against the same trials in one batch.  Diagnostics
+    ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is
+    None when no rounding produced it), ``rounding_streams`` counts the
+    streams drawn, one per rounded set, and ``randomness_used`` says whether
+    there were any.  ``lp_solves`` and ``lp_pivots`` count the simplex
+    solves and pivots of the residual relaxations, and ``lp_cache_hits`` the
+    ordered prefixes that share an earlier ordering's residual, prefixes -
+    C(n, u).  Prefix length u shrinks until at most ``prefix_cap`` ordered
+    prefixes remain; a cap below n, the count of one-element prefixes,
+    raises GuardExceeded.  With u >= n the one set is the whole ground set:
+    all n! orders are scored at once (n! x n ints) and the mode is
+    "exhaustive".
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -481,14 +474,11 @@ def ptas_dcg(
 
     u_eff = min(u, n)
     cap_hit = False
-
-    def prefix_count(length: int) -> int:
-        return math.perm(n, length)
-
-    while u_eff > 1 and prefix_count(u_eff) > prefix_cap:
+    while u_eff > 1 and math.perm(n, u_eff) > prefix_cap:
         u_eff -= 1
         cap_hit = True
-    if prefix_count(u_eff) > prefix_cap:
+    prefixes = math.perm(n, u_eff)
+    if prefixes > prefix_cap:
         raise GuardExceeded(f"ptas_dcg refuses {n} one-element prefixes > prefix_cap {prefix_cap}")
 
     diagnostics = {
@@ -502,61 +492,54 @@ def ptas_dcg(
         "u_theory_log10": (100.0 / epsilon) * math.log10(4.0 / epsilon),
         "cut_rounds": 0,
         "cut_clean": True,
-        "prefixes": prefix_count(u_eff),
+        "prefixes": prefixes,
         "rounding_streams": 0,
         "randomness_used": False,
         "lp_solves": 0,
         "lp_pivots": 0,
-        "lp_cache_hits": 0,
+        "lp_cache_hits": prefixes - math.comb(n, u_eff),
     }
 
     best_order: tuple | None = None
     best_value = -math.inf
     lp_bound = -math.inf
-
-    if u_eff >= n:
-        # Lexicographic permutations keep the lex-first optimum, as the prefix
-        # loop's tie-break does.
-        ranking, value = brute_force_dcg(inst, f, guard=n)
-        diagnostics.update(mode="exhaustive", best_prefix=list(ranking.order), best_trial=None)
-        return RankSolution(ranking, value, value, diagnostics)
-
     sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
     gains = np.array([f(t) for t in range(1, n + 1)])
-    lp_cache: dict[frozenset, tuple] = {}
     res_gain = f.shifted(u_eff)
-    for pidx, prefix in enumerate(permutations(range(n), u_eff)):
-        fixed, res_inst, rest = _prefix_state(inst, prefix, f)
-        key = frozenset(prefix)
-        if key in lp_cache:
-            diagnostics["lp_cache_hits"] += 1
-        elif res_inst is None or res_inst.m == 0:
-            lp_cache[key] = (None, 0.0)
-        else:
+    for sidx, chosen in enumerate(combinations(range(n), u_eff)):
+        held = set(chosen)
+        heads = np.array(list(permutations(chosen)), dtype=int)
+        rest = [e for e in range(n) if e not in held]
+        to_local = {e: i for i, e in enumerate(rest)}
+        residual = tuple(
+            (frozenset(to_local[e] for e in members - held), k - len(members & held))
+            for members, k in inst.sets
+            if len(members & held) < k
+        )
+        res_obj, local = 0.0, np.arange(len(rest))[None, :]  # unrounded: index order
+        if residual:
+            res_inst = SetSystemInstance(len(rest), residual)
             res = solve_dcg_lp(res_inst, res_gain, max_rounds=max_cut_rounds)
             diagnostics["cut_rounds"] += res.loop.rounds
             diagnostics["cut_clean"] = diagnostics["cut_clean"] and res.loop.clean
             diagnostics["lp_solves"] += res.loop.solves
             diagnostics["lp_pivots"] += res.loop.pivots
-            lp_cache[key] = (res, res.objective)
-        res, res_obj = lp_cache[key]
-        lp_bound = max(lp_bound, fixed + res_obj)
-
-        if res is None:
-            orders = np.array([prefix + tuple(rest)])
-        else:
-            local = _round_orders(res.x, res_inst, res_gain, params, rng.child(pidx), params.trials)
+            res_obj = res.objective
+            local = _round_orders(res.x, res_inst, res_gain, params, rng.child(sidx), params.trials)
             diagnostics["rounding_streams"] += 1
-            orders = np.hstack([np.tile(prefix, (len(local), 1)), np.asarray(rest)[local]])
+        lp_bound = max(lp_bound, float(_values(heads, sets, gains).max()) + res_obj)
+
+        tails = np.array(rest, dtype=int)[local]
+        orders = np.hstack([np.repeat(heads, len(tails), axis=0), np.tile(tails, (len(heads), 1))])
         row, val = _best_candidate(orders, sets, gains)
         order = tuple(int(e) for e in orders[row])
         if val > best_value or (val == best_value and order < best_order):
             best_value, best_order = val, order
-            diagnostics["best_prefix"] = list(prefix)
-            diagnostics["best_trial"] = None if res is None else row
+            diagnostics["best_prefix"] = list(order[:u_eff])
+            diagnostics["best_trial"] = row % params.trials if residual else None
 
     ranking = Ranking.from_order(best_order, inst)
-    diagnostics["mode"] = "prefix-lp-rounding"
+    diagnostics["mode"] = "exhaustive" if u_eff == n else "prefix-lp-rounding"
     diagnostics["randomness_used"] = diagnostics["rounding_streams"] > 0
     return RankSolution(ranking, best_value, float(lp_bound), diagnostics)
 

@@ -189,6 +189,25 @@ class TestSolvers:
         assert stdout == ""
         assert not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize("n, sets, order, value", [
+        (0, [], [], 0.0),
+        (1, [{"members": [0], "k": 1}], [0], 1.0),
+    ], ids=["n0", "n1"])
+    def test_solve_dcg_tiny_instances_are_exhaustive(self, tmp_path, capsys, n, sets, order, value):
+        # u = 2 >= n: the one prefix set is the whole ground set, with no LP.
+        ss = tmp_path / "ss.json"
+        ss.write_text(json.dumps({"kind": "setsystem", "n": n, "sets": sets}), encoding="utf-8")
+        code, out, err = run(capsys, "solve-dcg", "--in", str(ss), "--epsilon", "0.05")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["order"], payload["value"], payload["lp_bound"]) == (order, value, value)
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["mode"] == "exhaustive"
+        assert diagnostics["best_prefix"] == order
+        assert diagnostics["best_trial"] is None
+        assert (diagnostics["prefixes"], diagnostics["lp_cache_hits"]) == (1, 0)
+        assert diagnostics["randomness_used"] is False
+
     def test_solve_dispersion_json(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",
                      "gen", "euclidean", "--n", "8", "--seed", "4")
@@ -256,6 +275,29 @@ class TestSolvers:
         diagnostics = json.loads(out)["diagnostics"]
         assert diagnostics["size_window"] == [1, 2]
         assert all(count > 0 for count in diagnostics["candidates_per_part"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t", "-2"], "t must be finite and positive"),
+        (["--t", "0"], "t must be finite and positive"),
+        (["--mode", "exact", "--s", "2", "--t", "1.5", "--exact-budget", "-7"],
+         "exact_budget must be non-negative"),
+    ], ids=["t-negative", "t-zero", "exact-budget-negative"])
+    def test_solve_dks_bad_knob_is_exit_2(self, tmp_path, capsys, flags, message):
+        d = gen_file(tmp_path, capsys, "d.json",
+                     "gen", "random-dks", "--n", "7", "--k", "3", "--seed", "1")
+        code, out, err = run(capsys, "solve-dks", "--in", str(d), "--epsilon", "1.0", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_solve_dispersion_negative_exact_budget_is_exit_2(self, tmp_path, capsys):
+        m = gen_file(tmp_path, capsys, "m.json",
+                     "gen", "euclidean", "--n", "6", "--seed", "1")
+        code, out, err = run(capsys, "solve-dispersion", "--in", str(m), "--p", "3",
+                             "--epsilon", "0.5", "--exact-budget", "-3")
+        assert code == 2
+        assert out == ""
+        assert "exact_budget must be non-negative" in err
 
     def test_solve_dispersion_p_n_checks_inner_gamma(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",

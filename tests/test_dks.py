@@ -321,16 +321,22 @@ class TestSubmodularDks:
         assert diag["anchors_used"] == 8 + 28
         assert diag["repairs"] == 0
 
-    def test_no_anchor_fallback(self):
+    def test_nonpositive_t_is_rejected(self):
         # s = 5 gives t = 0.8, whose window is [floor t, ceil t] clamped to
-        # [1, 1]; an explicit t = 0 leaves the window [1, 0], with no anchor.
+        # [1, 1]; an explicit t <= 0 would leave the window [1, ceil t] empty,
+        # with no anchor to scan, so it is invalid input.
         assert self.solve_uniform(5, None, 3).diagnostics["size_window"] == (1, 1)
-        res = self.solve_uniform(5, 0.0, 3)
-        assert res.diagnostics["t"] == 0.0
-        assert res.diagnostics["size_window"] == (1, 0)
-        assert res.diagnostics["no_anchor_fallback"] is True
-        assert res.diagnostics["anchors_used"] == 0
-        assert res.nodes == (0, 1, 2, 3)
+        for t in (0.0, -2.0):
+            with pytest.raises(InstanceError, match="t must be finite and positive"):
+                SubDksParams(gamma=1.0, s=5, t=t, mode="exact")
+
+    def test_negative_exact_budget_is_rejected(self):
+        inst = gen_random_dks(7, 3, seed=1)
+        with pytest.raises(InstanceError, match="exact_budget must be non-negative"):
+            dks_additive(inst, 1.0, RngState(0), mode="exact", s=2, t=1.5, exact_budget=-7)
+        # A zero budget is valid: every exact enumeration falls back to greedy.
+        res = dks_additive(inst, 1.0, RngState(0), mode="exact", s=2, t=1.5, exact_budget=0)
+        assert res.diagnostics["matroid_fell_back"] is True
 
     def test_theory_cell_count_formula(self):
         inst = gen_random_dks(12, 6, seed=11)

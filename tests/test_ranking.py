@@ -14,7 +14,6 @@ from divopt.lp import solve_lp
 from divopt.ranking import (
     DCG_STANDARD,
     _best_candidate,
-    _prefix_state,
     _round_orders,
     DcgLpLayout,
     GainFunction,
@@ -367,8 +366,8 @@ class TestPtas:
             inst = gen_setsystem(4, 3, 2, seed=300 + seed)
             res = ptas_dcg(inst, 0.3, RngState(seed), u=9, gamma=0.05, trials=5)
             assert res.diagnostics["mode"] == "exhaustive"
-            _, opt = brute_force_dcg(inst)
-            assert res.value == pytest.approx(opt)
+            ranking, opt = brute_force_dcg(inst)
+            assert (res.value, res.ranking.order, res.lp_bound) == (opt, ranking.order, opt)
 
     def test_prefix_cap_reduces_u(self):
         inst = gen_setsystem(6, 3, 2, seed=41)
@@ -447,8 +446,9 @@ def loop_round(xstar, inst, f, params, rng):
 
 
 def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
-    """ptas_dcg as one round_lp + dcg_value pass per trial, the trials of a
-    prefix drawn in turn from its stream rng.child(prefix index) (reference).
+    """ptas_dcg as one round_lp + dcg_value pass per trial and ordering: the
+    trials of a prefix set are drawn in turn from its stream rng.child(set
+    index), and each is scored after every ordering of the set (reference).
 
     Returns (value, order, lp_bound, best prefix, best trial).
     """
@@ -456,34 +456,43 @@ def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
     res_gain = f.shifted(u)
     best = (-math.inf, None, None, None)
     lp_bound = -math.inf
-    lps = {}
-    for pidx, prefix in enumerate(itertools.permutations(range(inst.n), u)):
-        fixed, res_inst, rest = _prefix_state(inst, prefix, f)
-        key = frozenset(prefix)
-        if key not in lps:
-            empty = res_inst is None or res_inst.m == 0
-            lps[key] = None if empty else solve_dcg_lp(res_inst, res_gain)
-        res = lps[key]
-        lp_bound = max(lp_bound, fixed + (0.0 if res is None else res.objective))
-        if res is None:
-            candidates = [(None, prefix + tuple(rest))]
-        else:
-            candidates = []
-            stream = rng.child(pidx)
+    for sidx, chosen in enumerate(itertools.combinations(range(inst.n), u)):
+        rest = [e for e in range(inst.n) if e not in chosen]
+        residual = tuple(
+            (frozenset(rest.index(e) for e in members if e in rest), k - len(members & set(chosen)))
+            for members, k in inst.sets
+            if len(members & set(chosen)) < k
+        )
+        if residual:
+            res_inst = SetSystemInstance(len(rest), residual)
+            res = solve_dcg_lp(res_inst, res_gain)
+            res_obj, stream = res.objective, rng.child(sidx)
+            tails = []
             for trial in range(trials):
                 local = round_lp(res.x, res.y, res_inst, res_gain, params, stream)
-                candidates.append((trial, prefix + tuple(rest[i] for i in local.order)))
-        for trial, order in candidates:
-            val = dcg_value(order, inst, f)
-            if val > best[0] or (val == best[0] and order < best[1]):
-                best = (val, order, list(prefix), trial)
+                tails.append((trial, tuple(rest[i] for i in local.order)))
+        else:
+            res_obj, tails = 0.0, [(None, tuple(rest))]
+        for prefix in itertools.permutations(chosen):
+            fixed = 0.0
+            for members, k in inst.sets:
+                if len(members & set(prefix)) >= k:
+                    fixed += f(cover_time(prefix, members, k))
+            lp_bound = max(lp_bound, fixed + res_obj)
+            for trial, tail in tails:
+                order = prefix + tail
+                val = dcg_value(order, inst, f)
+                if val > best[0] or (val == best[0] and order < best[1]):
+                    best = (val, order, list(prefix), trial)
     return best[0], best[1], lp_bound, best[2], best[3]
 
 
 class TestBatchedTrials:
     # (n, m, kmax, seed, u, trials, gamma, eta); n - u == 1 leaves one-element
     # residuals.  Small gamma makes most join probabilities 1, so equal orders
-    # repeat across trials; the last case draws enough to be won by trial 2.
+    # repeat across trials.  In the last three cases trials differ: seed 893
+    # is won by trial 2; at u = 2, seed 31 is won by trial 2 of its set, and
+    # seed 3 by an order that one stream per ordered prefix would not draw.
     CASES = [
         (5, 3, 2, 600, 2, 20, 0.05, 0.3),
         (6, 4, 2, 601, 2, 10, 0.05, 0.3),
@@ -498,6 +507,8 @@ class TestBatchedTrials:
         (5, 2, 1, 610, 3, 3, 0.05, 0.3),
         (3, 3, 1, 611, 1, 50, 0.05, 0.3),
         (8, 5, 2, 893, 1, 30, 0.45, 0.95),
+        (8, 8, 3, 31, 2, 10, 0.45, 0.95),
+        (8, 8, 3, 3, 2, 8, 0.45, 0.95),
     ]
 
     @pytest.mark.parametrize("n, m, kmax, seed, u, trials, gamma, eta", CASES)
@@ -573,18 +584,22 @@ class TestBatchedTrials:
         res = ptas_dcg(inst, 0.3, RngState(0), u=9, gamma=0.05, trials=5)
         assert res.diagnostics["best_prefix"] == list(res.ranking.order)
         assert res.diagnostics["best_trial"] is None
+        # One prefix set, the ground set, shared by all 4! orderings.
+        assert res.diagnostics["lp_cache_hits"] == 24 - 1
 
 
 class TestRandomnessDiagnostics:
     def test_rounding_prefixes_count_their_streams(self):
         inst = gen_setsystem(5, 3, 2, seed=9)
         res = ptas_dcg(inst, 0.3, RngState(1), u=2, gamma=0.05, trials=7)
-        rounded = 0
-        for prefix in itertools.permutations(range(5), 2):
-            _, res_inst, _ = _prefix_state(inst, prefix, DCG_STANDARD)
-            rounded += res_inst is not None and res_inst.m > 0
+        # One stream per two-element set that leaves some demand set uncovered.
+        rounded = sum(
+            any(len(members & set(chosen)) < k for members, k in inst.sets)
+            for chosen in itertools.combinations(range(5), 2)
+        )
         assert rounded > 0
         assert res.diagnostics["rounding_streams"] == rounded
+        assert res.diagnostics["lp_cache_hits"] == 20 - 10
         assert res.diagnostics["randomness_used"] is True
 
     def test_exhaustive_mode_uses_no_randomness(self):

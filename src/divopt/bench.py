@@ -245,10 +245,16 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
     entries = spec.get("instances")
     if not isinstance(entries, list) or not entries:
         raise InstanceError("bench spec: \"instances\" must be a non-empty list")
-    bundles = []
+    bundles, seen = [], set()
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
             raise InstanceError(f"instances[{idx}]: need \"id\" and \"path\"")
+        ident = entry["id"]
+        if not isinstance(ident, str):
+            raise InstanceError(f"instances[{idx}]: \"id\" must be a string")
+        if ident in seen:
+            raise InstanceError(f"instances[{idx}]: \"id\" {ident!r} is not unique")
+        seen.add(ident)
         path, bonus_path, p = entry["path"], entry.get("bonus"), entry.get("p")
         if not isinstance(path, str):
             raise InstanceError(f"instances[{idx}]: \"path\" must be a string")
@@ -258,7 +264,7 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
             raise InstanceError(f"instances[{idx}]: \"p\" must be an integer")
         obj = load_instance(base_dir / path)
         bonus = load_instance(base_dir / bonus_path) if bonus_path else None
-        bundles.append(_Bundle(str(entry["id"]), obj, p=p, bonus=bonus))
+        bundles.append(_Bundle(ident, obj, p=p, bonus=bonus))
     return bundles
 
 
@@ -277,7 +283,9 @@ def run_bench(spec: dict, base_dir) -> BenchReport:
         raise InstanceError("bench spec: \"seeds\" must be a non-empty list")
     if not all(_is_int(seed) for seed in seeds):
         raise InstanceError("bench spec: \"seeds\" must hold integers")
-    want_oracle = bool(spec.get("oracle", False))
+    want_oracle = spec.get("oracle", False)
+    if not isinstance(want_oracle, bool):
+        raise InstanceError("bench spec: \"oracle\" must be true or false")
 
     oracle_cache: dict[tuple, float] = {}
 

@@ -53,7 +53,7 @@ from .generators import (
     gen_submodular,
     max_coverage_value,
 )
-from .io import _jsonable, dumps_instance, load_instance
+from .io import _jsonable, _parse_json, _read_text, dumps_instance, load_instance
 from .lp import LpError
 from .ranking import (
     DCG_STANDARD,
@@ -188,6 +188,13 @@ def _result_json(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from exc
+
+
 def _solve_result(args, algorithm: str, value, **extra) -> str:
     """A solve-* result: the common keys as one CSV row under ``CSV_HEADER``,
     or as sorted-key JSON together with the command's own ``extra`` keys."""
@@ -271,7 +278,8 @@ def _cmd_solve_dcg(args) -> str:
     )
     if args.dump_lp:
         lpres = solve_dcg_lp(inst, DCG_STANDARD, max_rounds=args.max_cut_rounds)
-        Path(args.dump_lp).write_text(
+        _write(
+            args.dump_lp,
             _result_json(
                 {
                     "objective": lpres.objective,
@@ -283,7 +291,6 @@ def _cmd_solve_dcg(args) -> str:
                     "y": [[float(v) for v in row] for row in lpres.y],
                 }
             ),
-            encoding="utf-8",
         )
     return _solve_result(
         args,
@@ -438,12 +445,7 @@ def _cmd_check(args):
 
 
 def _cmd_bench(args) -> str:
-    spec_path = Path(args.spec)
-    try:
-        spec = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{args.spec}: invalid JSON: {exc}") from exc
-    report = run_bench(spec, spec_path.parent)
+    report = run_bench(_parse_json(_read_text(args.spec)), Path(args.spec).parent)
     if args.format == "csv":
         return records_to_csv(report.records)
     return _result_json(
@@ -476,6 +478,13 @@ def main(argv=None) -> int:
         return 1
     try:
         out = handlers[args.command](args)
+        exit_code = 0
+        if isinstance(out, tuple):
+            out, exit_code = out
+        if args.out:
+            _write(args.out, out)
+        else:
+            sys.stdout.write(out)
     except UsageError as exc:
         print(f"divopt: {exc}", file=sys.stderr)
         return 1
@@ -485,13 +494,6 @@ def main(argv=None) -> int:
     except (GuardExceeded, LpError) as exc:
         print(f"divopt: refused: {exc}", file=sys.stderr)
         return 3
-    exit_code = 0
-    if isinstance(out, tuple):
-        out, exit_code = out
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
     return exit_code
 
 

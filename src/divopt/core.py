@@ -163,6 +163,8 @@ class SetSystemInstance:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InstanceError(f"n must be non-negative, got {self.n}")
         norm = []
         for idx, (members, k) in enumerate(self.sets):
             members = frozenset(int(e) for e in members)
@@ -220,9 +222,6 @@ class DksInstance:
                 f"need |forced| <= k <= n, got |forced|={len(self.forced)}, k={self.k}, n={self.n}"
             )
 
-    def pair_weight(self, u: int, v: int) -> float:
-        return float(self.weights[u, v])
-
 
 @dataclass(frozen=True)
 class SubmodularSpec:
@@ -266,10 +265,6 @@ class SubmodularSpec:
         if self.kind == "modular":
             return len(self.weights)
         return len(self.covers)
-
-    @classmethod
-    def zero(cls, n: int) -> "SubmodularSpec":
-        return cls(kind="modular", weights=(0.0,) * n)
 
     def value(self, S: Iterable[int]) -> float:
         if self.kind == "modular":

@@ -6,17 +6,17 @@ weight.  It guesses an anchor subset Q, keeps only candidate blocks whose
 weight profile matches Q's, picks one block per partition cell by maximizing
 h over that partition matroid, repairs sizes, and finally keeps the best
 anchor's team.  Every admission test, in either regime, goes through one
-batched helper, ``_admit``; ``candidate_admit`` states its rule for one pair
-and is the reference the tests hold it to.  With one partition cell and
-uncapped enumeration the scan keeps the best of the anchors' winners, each
-anchor's winner being its first admitted block in (h, density, index)
-order.  The solver finds that block by walking the blocks by (value, index)
-and stopping at the first that some anchor admits while admitting no block
-ranked before it.  The top block wins outright, with no anchor built, when
-every anchor is scanned, gamma' clears the rounding error of its own
-anchor's admission test, and that anchor surely rejects every block ahead
-of it in (h, density, index) order.  The fallback team, the first k' free
-nodes, is then the first block and is scored like the others.
+batched helper, ``_admit``; its one-pair reference, ``candidate_admit``,
+lives in the tests.  With one partition cell and uncapped enumeration the
+scan keeps the best of the anchors' winners, each anchor's winner being its
+first admitted block in (h, density, index) order.  The solver finds that
+block by walking the blocks by (value, index) and stopping at the first that
+some anchor admits while admitting no block ranked before it.  The top block
+wins outright, with no anchor built, when every anchor is scanned, gamma'
+clears the rounding error of its own anchor's admission test, and that
+anchor surely rejects every block ahead of it in (h, density, index) order.
+The fallback team, the first k' free nodes, is then the first block and is
+scored like the others.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .core import (
 
 __all__ = [
     "den",
-    "profile_vectors",
-    "candidate_admit",
     "SubDksParams",
     "MatroidResult",
     "matroid_maximize",
@@ -73,32 +71,6 @@ def _bonus_oracle(h, inst: DksInstance):
 def _den_or_zero(T: Iterable[int], inst: DksInstance) -> float:
     T = set(T)
     return den(T, inst) if len(T) >= 2 else 0.0
-
-
-def profile_vectors(U: Iterable[int], inst: DksInstance):
-    """Mean weight-to-U and membership-indicator profiles, both length n."""
-    idx = sorted(set(int(v) for v in U))
-    if not idx:
-        raise InstanceError("profile of an empty set is undefined")
-    ow = inst.weights[:, idx].sum(axis=1) / len(idx)
-    oind = np.zeros(inst.n)
-    oind[idx] = 1.0 / len(idx)
-    return ow, oind
-
-
-def candidate_admit(U: Iterable[int], Q: Iterable[int], inst: DksInstance, gamma_prime: float) -> bool:
-    """Profile-matching admission: Chebyshev condition plus mean-weight condition.
-
-    U is admitted for anchor Q when max_x |ow(U)_x - ow(Q)_x| <= 2 gamma' and
-    |oind(U).ow(Q) - oind(Q).ow(Q)| <= 4 gamma'.  Comparisons are non-strict
-    at exactly the stated tolerances.  The solver applies this rule in
-    batches (``_admit``); this one-pair form is the reference for tests.
-    """
-    owU, oiU = profile_vectors(U, inst)
-    owQ, oiQ = profile_vectors(Q, inst)
-    if float(np.abs(owU - owQ).max()) > 2.0 * gamma_prime:
-        return False
-    return abs(float(oiU @ owQ) - float(oiQ @ owQ)) <= 4.0 * gamma_prime
 
 
 @dataclass(frozen=True)
@@ -232,7 +204,7 @@ def _enumerate_subsets(nodes: Sequence[int], lo: int, hi: int, cap: int):
 
 
 def _cond9(cmn, aprof, aself, gp: float) -> np.ndarray:
-    """Mean-weight half of ``candidate_admit``, candidates x all anchors.
+    """Mean-weight half of the admission rule, candidates x all anchors.
 
     Always one product over every anchor, worked in place: a product of
     another shape may round differently and flip an admission at the tolerance."""
@@ -242,9 +214,10 @@ def _cond9(cmn, aprof, aself, gp: float) -> np.ndarray:
 
 
 def _admit(aprof, cprof, cond9, gp: float) -> np.ndarray:
-    """``candidate_admit`` over anchors x candidates: the Chebyshev half,
-    chunked to bound memory, and ``cond9`` (candidates x the same anchors,
-    from ``_cond9``).  The Chebyshev half is a max of absolute differences,
+    """The admission rule over anchors x candidates, whose one-pair reference,
+    ``candidate_admit``, lives in the tests: the Chebyshev half, chunked to
+    bound memory, and ``cond9`` (candidates x the same anchors, from
+    ``_cond9``).  The Chebyshev half is a max of absolute differences,
     so any slice of it has the same bits as the full tensor."""
     chunk = max(1, int(2_000_000 // max(1, cprof.size)))
     rows = [

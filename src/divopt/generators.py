@@ -151,6 +151,8 @@ def gen_regular_coverage(
     """Equal-size coverage sets; with planted=True the first k form a partition."""
     if M < 1 or k < 1 or M % k != 0:
         raise InstanceError("need k >= 1 dividing M >= 1")
+    if extra_sets < 0:
+        raise InstanceError(f"extra_sets must be non-negative, got {extra_sets}")
     q = M // k
     rng = RngState(seed)
     sets = []

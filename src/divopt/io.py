@@ -249,12 +249,26 @@ def dumps_instance(obj) -> str:
     return json.dumps(to_payload(obj), indent=2, sort_keys=True) + "\n"
 
 
-def loads_instance(text: str):
+def _parse_json(text: str):
+    """The JSON value of ``text``; InstanceError if it is malformed or nests
+    deeper than the parser's recursion limit."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
-    return from_payload(payload)
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, such as an instance or a bench spec;
+    InstanceError if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from exc
+
+
+def loads_instance(text: str):
+    return from_payload(_parse_json(text))
 
 
 def save_instance(obj, path) -> None:
@@ -262,8 +276,4 @@ def save_instance(obj, path) -> None:
 
 
 def load_instance(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from exc
-    return loads_instance(text)
+    return loads_instance(_read_text(path))

@@ -34,8 +34,6 @@ __all__ = [
     "DcgLpResult",
     "solve_dcg_lp",
     "round_lp",
-    "tstar_bound",
-    "tau",
     "ptas_dcg",
     "RankSolution",
     "brute_force_dcg",
@@ -53,8 +51,6 @@ class GainFunction:
     kind "dcg": gain(t) = 1 / log2(t + shift + 1), the usual DCG discount
     evaluated shift positions later (shift=0 gives 1/log2(t+1), so gain(1)=1).
     kind "constant": gain(t) = value everywhere.
-    The closed forms extend beyond any instance size, which the tau
-    diagnostic relies on.
     """
 
     kind: str = "dcg"
@@ -335,44 +331,6 @@ def round_lp(
     return Ranking.from_order(_round_orders(xstar, inst, f, params, rng, 1)[0], inst)
 
 
-def tstar_bound(ystar: np.ndarray, inst: SetSystemInstance, f: GainFunction, eta: float) -> float:
-    """Sum of f(t*(S)) where t*(S) is the largest t with y[s, t-1] <= eta * f(t).
-
-    (y[s,0] is taken as 0, so t*=1 always qualifies.)  The LP objective never
-    exceeds (1 + eta) times this bound; tests hold every solved fixture to it.
-    """
-    n = inst.n
-    total = 0.0
-    for s in range(inst.m):
-        tstar = 1
-        for t in range(1, n + 1):
-            yprev = 0.0 if t == 1 else float(ystar[s, t - 2])
-            if yprev <= eta * f(t) + 1e-12:
-                tstar = t
-        total += f(tstar)
-    return float(total)
-
-
-def tau(f: GainFunction, alpha: float, n: int, C: float = 1.0) -> float:
-    """Worst-case gain ratio f(stretch * t / f(t)) / f(t) over t in [n].
-
-    stretch = C * ln(1/alpha) / alpha.  Diagnostic only: it reports how much
-    of the gain survives the rounding's prefix inflation.  The constant C is
-    configurable because the analysis leaves it unspecified; natural log to
-    match the gamma default.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InstanceError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise InstanceError("n must be at least 1")
-    stretch = C * math.log(1.0 / alpha) / alpha
-    best = math.inf
-    for t in range(1, n + 1):
-        val = f(stretch * t / f(t)) / f(t)
-        best = min(best, val)
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # PTAS driver
 
@@ -445,13 +403,11 @@ def ptas_dcg(
     None when no rounding produced it), ``rounding_streams`` counts the
     streams drawn, one per rounded set, and ``randomness_used`` says whether
     there were any.  ``lp_solves`` and ``lp_pivots`` count the simplex
-    solves and pivots of the residual relaxations, and ``lp_cache_hits`` the
-    ordered prefixes that share an earlier ordering's residual, prefixes -
-    C(n, u).  Prefix length u shrinks until at most ``prefix_cap`` ordered
-    prefixes remain; a cap below n, the count of one-element prefixes,
-    raises GuardExceeded.  With u >= n the one set is the whole ground set:
-    all n! orders are scored at once (n! x n ints) and the mode is
-    "exhaustive".
+    solves and pivots of the residual relaxations.  Prefix length u shrinks
+    until at most ``prefix_cap`` ordered prefixes remain; a cap below n, the
+    count of one-element prefixes, raises GuardExceeded.  With u >= n the one
+    set is the whole ground set: all n! orders are scored at once (n! x n
+    ints) and the mode is "exhaustive".
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -497,7 +453,6 @@ def ptas_dcg(
         "randomness_used": False,
         "lp_solves": 0,
         "lp_pivots": 0,
-        "lp_cache_hits": prefixes - math.comb(n, u_eff),
     }
 
     best_order: tuple | None = None

@@ -205,7 +205,7 @@ class TestSolvers:
         assert diagnostics["mode"] == "exhaustive"
         assert diagnostics["best_prefix"] == order
         assert diagnostics["best_trial"] is None
-        assert (diagnostics["prefixes"], diagnostics["lp_cache_hits"]) == (1, 0)
+        assert diagnostics["prefixes"] == 1
         assert diagnostics["randomness_used"] is False
 
     def test_solve_dispersion_json(self, tmp_path, capsys):

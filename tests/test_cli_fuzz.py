@@ -158,9 +158,25 @@ def small_files(tmp: Path) -> dict:
     }
     payloads = {name: to_payload(obj) for name, obj in files.items()}
     payloads["ragged.json"] = {"kind": "metric", "n": 2, "dist": [[0.0, 1.0], [1.0]]}
+    payloads["ss.json"] = to_payload(gen_setsystem(4, 3, 2, 3))
+    payloads["negative-n.json"] = {"kind": "setsystem", "n": -1, "sets": []}
+    bench = {"algorithms": [{"name": "greedy-dispersion"}], "oracle": True}
+    payloads["twin-ids.json"] = {
+        **bench,
+        "instances": [{"id": "a", "path": "m.json", "p": p} for p in (3, 4)],
+    }
+    payloads["list-id.json"] = {**bench, "instances": [{"id": ["x"], "path": "m.json", "p": 3}]}
+    payloads["string-oracle.json"] = {
+        **bench, "oracle": "no", "instances": [{"id": "a", "path": "m.json", "p": 3}],
+    }
     out = {}
     for name, payload in payloads.items():
         (tmp / name).write_text(json.dumps(payload), encoding="utf-8")
+        out[name] = str(tmp / name)
+    (tmp / "binary.json").write_bytes(b"\xff\xfe{}")
+    (tmp / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    (tmp / "folder").mkdir()
+    for name in ("binary.json", "deep.json", "folder", "missing.json", "missing/x.json"):
         out[name] = str(tmp / name)
     return out
 
@@ -189,6 +205,26 @@ def small_files(tmp: Path) -> dict:
     pytest.param(["gen", "submodular", "--n=-3"], "need n >= 1", id="gen-submodular-negative-n"),
     pytest.param(["gen", "submodular", "--n", "4", "--sub-kind", "coverage", "--universe", "0"],
                  "need universe >= 1", id="gen-submodular-zero-universe"),
+    pytest.param(["solve-dcg", "--in", "binary.json", "--epsilon", "0.05"], "cannot read",
+                 id="solve-dcg-not-utf8"),
+    pytest.param(["solve-dcg", "--in", "deep.json", "--epsilon", "0.05"], "invalid JSON",
+                 id="solve-dcg-deep-json"),
+    pytest.param(["bench", "--spec", "missing.json"], "cannot read", id="bench-missing-spec"),
+    pytest.param(["bench", "--spec", "folder"], "cannot read", id="bench-spec-is-a-directory"),
+    pytest.param(["bench", "--spec", "binary.json"], "cannot read", id="bench-spec-not-utf8"),
+    pytest.param(["bench", "--spec", "deep.json"], "invalid JSON", id="bench-spec-deep-json"),
+    pytest.param(["solve-dcg", "--in", "ss.json", "--epsilon", "0.05", "--out", "missing/x.json"],
+                 "cannot write", id="solve-dcg-unwritable-out"),
+    pytest.param(["solve-dcg", "--in", "ss.json", "--epsilon", "0.05", "--dump-lp",
+                  "missing/x.json"], "cannot write", id="solve-dcg-unwritable-dump-lp"),
+    pytest.param(["solve-dcg", "--in", "negative-n.json", "--epsilon", "0.05"], "n must be",
+                 id="solve-dcg-negative-n"),
+    pytest.param(["oracle", "--in", "negative-n.json"], "n must be", id="oracle-negative-n"),
+    pytest.param(["bench", "--spec", "twin-ids.json"], '"id"', id="bench-duplicate-id"),
+    pytest.param(["bench", "--spec", "list-id.json"], '"id"', id="bench-list-id"),
+    pytest.param(["bench", "--spec", "string-oracle.json"], '"oracle"', id="bench-string-oracle"),
+    pytest.param(["gen", "coverage", "--universe", "4", "--k", "2", "--extra-sets=-1"],
+                 "extra_sets", id="gen-coverage-negative-extra-sets"),
 ])
 def test_former_traceback_cases_are_exit_2(tmp_path, argv, message):
     files = small_files(tmp_path)

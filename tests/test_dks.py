@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -21,14 +22,38 @@ from divopt.dks import (
     DksResult,
     SubDksParams,
     brute_force_subdks,
-    candidate_admit,
     den,
     dks_additive,
     matroid_maximize,
-    profile_vectors,
     submodular_dks,
 )
 from divopt.generators import gen_planted_dks, gen_random_dks, gen_submodular
+
+
+def profile_vectors(U: Iterable[int], inst: DksInstance):
+    """Mean weight-to-U and membership-indicator profiles, both length n."""
+    idx = sorted(set(int(v) for v in U))
+    if not idx:
+        raise InstanceError("profile of an empty set is undefined")
+    ow = inst.weights[:, idx].sum(axis=1) / len(idx)
+    oind = np.zeros(inst.n)
+    oind[idx] = 1.0 / len(idx)
+    return ow, oind
+
+
+def candidate_admit(U: Iterable[int], Q: Iterable[int], inst: DksInstance, gamma_prime: float) -> bool:
+    """Profile-matching admission: Chebyshev condition plus mean-weight condition.
+
+    U is admitted for anchor Q when max_x |ow(U)_x - ow(Q)_x| <= 2 gamma' and
+    |oind(U).ow(Q) - oind(Q).ow(Q)| <= 4 gamma'.  Comparisons are non-strict
+    at exactly the stated tolerances.  The solver applies this rule in
+    batches (``_admit``); this one-pair form is the reference for tests.
+    """
+    owU, oiU = profile_vectors(U, inst)
+    owQ, oiQ = profile_vectors(Q, inst)
+    if float(np.abs(owU - owQ).max()) > 2.0 * gamma_prime:
+        return False
+    return abs(float(oiU @ owQ) - float(oiQ @ owQ)) <= 4.0 * gamma_prime
 
 
 def tiny_instance() -> DksInstance:

@@ -12,9 +12,9 @@ A bench spec is a JSON object:
 Paths are resolved relative to the spec file.  "p" (an integer) is required
 for metric instances, "bonus" (a submodular-spec file) for diversification
 and for the submodular selection solver.  "params" holds the solver's keyword
-options; unknown keys are rejected before anything runs.  Deterministic
-algorithms run once regardless of the seed list; oracle values are
-brute-force optima cached per instance.
+options; unknown keys and repeated seeds are rejected before anything
+runs.  Deterministic algorithms run once regardless of the seed list;
+oracle values are brute-force optima cached per instance.
 """
 
 from __future__ import annotations
@@ -283,6 +283,8 @@ def run_bench(spec: dict, base_dir) -> BenchReport:
         raise InstanceError("bench spec: \"seeds\" must be a non-empty list")
     if not all(_is_int(seed) for seed in seeds):
         raise InstanceError("bench spec: \"seeds\" must hold integers")
+    if len(set(seeds)) < len(seeds):
+        raise InstanceError("bench spec: \"seeds\" must be distinct")
     want_oracle = spec.get("oracle", False)
     if not isinstance(want_oracle, bool):
         raise InstanceError("bench spec: \"oracle\" must be true or false")

@@ -4,8 +4,8 @@ The approximation scheme guesses a center u and a witness v, keeps the ball
 of radius delta* = 20 d(u,v) / epsilon around u, forces the ring between
 radius delta and delta*, scales pair distances into [0, 1] edge weights, and
 delegates the remaining choice to the density solver.  Every ordered pair is
-tried (largest distance first) and the best candidate is kept, never worse
-than the pair-greedy baseline.
+built (largest distance first), each distinct ball is solved once, and the
+best candidate is kept, never worse than the pair-greedy baseline.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ def qptas_dispersion(
     """Ball-decomposition scheme for max-sum dispersion.
 
     Tries every ordered (center, witness) pair in descending-distance order,
-    solves the reduced density instance with additive accuracy
-    0.00005 epsilon^2 (overridable), lifts the team back, and returns the
-    best candidate, or the pair-greedy baseline when that is strictly better
-    or no pair is admissible.
+    solves each distinct ball's reduced density instance once with additive
+    accuracy 0.00005 epsilon^2 (overridable), lifts the team back, and
+    returns the best candidate, or the pair-greedy baseline when that is
+    strictly better or no pair is admissible.
     """
     sel, val, origin, diagnostics = _ball_scheme(
         inst, p, epsilon, rng, None, lambda: greedy_dispersion(inst, p), inner_gamma,
@@ -226,7 +226,11 @@ def _ball_scheme(
     """The pair loop of both schemes: maximize disp + f (a SubmodularSpec or
     a value oracle; None means no bonus) against the ``greedy()`` baseline,
     passing ``inner`` (mode, enum_cap, exact_budget) to the density solver;
-    returns (selection, value, origin, diagnostics)."""
+    returns (selection, value, origin, diagnostics).  A ball's pairs (same
+    nodes, forced, k) differ only by the scale delta*, so each ball is solved
+    once, at its last pair's build: the smallest delta*, where the additive
+    error gamma' k (k-1) delta* in dispersion units is least.  Its first pair
+    gives the stream, the solve order and ``best_pair``."""
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
     if not 2 <= p <= inst.n:
@@ -245,6 +249,7 @@ def _ball_scheme(
         "theory_parameters": inner_gamma is None,
         "skip_reasons": {},
         "pairs_admissible": 0,
+        "balls_solved": 0,
         "best_pair": None,
         "best_pair_index": None,
         "randomness_used": False,
@@ -258,9 +263,7 @@ def _ball_scheme(
     pairs.sort(key=lambda uv: (-inst.dist[uv[0], uv[1]], uv[0], uv[1]))
     diagnostics["pairs_total"] = len(pairs)
     skips = diagnostics["skip_reasons"]
-    best_sel: tuple | None = None
-    best_val = -math.inf
-    best_idx = None
+    balls: dict = {}  # (nodes, forced, k) -> (first pair index, last build)
     for idx, (u, v) in enumerate(pairs):
         try:
             sub, ball = build_dks_from_ball(inst, p, u, v, epsilon)
@@ -268,6 +271,11 @@ def _ball_scheme(
             skips[skip.reason] = skips.get(skip.reason, 0) + 1
             continue
         diagnostics["pairs_admissible"] += 1
+        ball_key = (ball.nodes, ball.forced, ball.k)
+        balls[ball_key] = (balls.get(ball_key, (idx,))[0], sub, ball)
+    diagnostics["balls_solved"] = len(balls)
+    best_sel, best_val, best_idx = None, -math.inf, None
+    for idx, sub, ball in balls.values():
         bonus = None if f is None else _BallBonus(f, ball)
         res = dks.submodular_dks(sub, bonus, params, rng.child("pair", idx))
         diagnostics["randomness_used"] |= res.diagnostics["randomness_used"]

@@ -74,7 +74,7 @@ def diversify(
 ) -> DiversificationResult:
     """Ball-decomposition scheme for dispersion plus a submodular bonus.
 
-    Per admissible (center, witness) pair the bonus enters the density solver
+    For each ball the loop solves, the bonus enters the density solver
     as h(C) = f(points outside the core ball, plus C) / (k (k-1) delta*), so
     the solver's h + den value is exactly dive(candidate) rescaled.  Expected
     guarantee (1 - eps) disp(OPT) + (1 - 1/e - eps) f(OPT); with the bonus

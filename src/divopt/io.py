@@ -11,9 +11,10 @@ One document per instance, dispatched on the top-level "kind" key:
   maxcov     {"kind": "maxcov", "universe": M, "k": K, "sets": [[...], ...],
               "regular": bool, "meta"?}
 
-Element ids are 0-based everywhere.  ``dumps_instance`` emits a canonical form
-(sorted keys, two-space indent, trailing newline, shortest round-trip float
-repr), so identical instances serialize to identical bytes.
+Element ids are 0-based everywhere, and a dks file gives each pair at most
+once.  ``dumps_instance`` emits a canonical form (sorted keys, two-space
+indent, trailing newline, shortest round-trip float repr), so identical
+instances serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ def from_payload(payload: dict):
         if not isinstance(raw, list):
             raise InstanceError("weights: expected a list of [i, j, w] triples")
         W = np.zeros((n, n))
+        given = set()
         for idx, triple in enumerate(raw):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise InstanceError(f"weights[{idx}]: expected an [i, j, w] triple")
@@ -210,6 +212,9 @@ def from_payload(payload: dict):
                 raise InstanceError(f"weights[{idx}]: expected [int, int, number]")
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise InstanceError(f"weights[{idx}]: ids must be distinct and in range({n})")
+            if (min(i, j), max(i, j)) in given:
+                raise InstanceError(f"weights[{idx}]: pair ({i}, {j}) is already given")
+            given.add((min(i, j), max(i, j)))
             W[i, j] = W[j, i] = float(_number(w, "weights", idx, 2))
         forced = _int_list(_require(payload, "forced", kind), "forced")
         k = _number(_require(payload, "k", kind), "k", integer=True)
@@ -240,7 +245,9 @@ def from_payload(payload: dict):
         sets = tuple(
             frozenset(_int_list(s, f"sets[{idx}]")) for idx, s in enumerate(raw)
         )
-        regular = bool(payload.get("regular", False))
+        regular = payload.get("regular", False)
+        if not isinstance(regular, bool):
+            raise InstanceError("regular: expected true or false")
         return CoverageInstance(universe, sets, k, regular=regular, meta=dict(meta))
     raise InstanceError(f"unknown instance kind {kind!r}")
 

@@ -361,20 +361,6 @@ def _values(orders: np.ndarray, sets: list, gains: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _best_candidate(orders: np.ndarray, sets: list, gains: np.ndarray) -> tuple[int, float]:
-    """Row of the best full order in ``orders`` and its value (see _values).
-
-    Ties go to the lexicographically smallest order, then the first row, as a
-    scan keeping strict gains would.
-    """
-    vals = _values(orders, sets, gains)
-    top = np.flatnonzero(vals == vals.max())
-    if len(top) > 1:  # np.lexsort needs a key column, which n = 0 lacks
-        top = top[np.lexsort(orders[top].T[::-1])]
-    row = int(top[0])
-    return row, float(vals[row])
-
-
 def ptas_dcg(
     inst: SetSystemInstance,
     epsilon: float,
@@ -398,16 +384,17 @@ def ptas_dcg(
     each u-element set (in ``combinations`` order) is solved and rounded
     once: it draws all its trials from one child stream, ``rng.child(set
     index)``, trial t reading the stream's t-th block, and every ordering of
-    the set is scored against the same trials in one batch.  Diagnostics
-    ``best_prefix`` and ``best_trial`` name the winner (``best_trial`` is
-    None when no rounding produced it), ``rounding_streams`` counts the
-    streams drawn, one per rounded set, and ``randomness_used`` says whether
-    there were any.  ``lp_solves`` and ``lp_pivots`` count the simplex
-    solves and pivots of the residual relaxations.  Prefix length u shrinks
-    until at most ``prefix_cap`` ordered prefixes remain; a cap below n, the
-    count of one-element prefixes, raises GuardExceeded.  With u >= n the one
-    set is the whole ground set: all n! orders are scored at once (n! x n
-    ints) and the mode is "exhaustive".
+    the set is scored in one batch against each distinct rounded tail once;
+    ties go to the lexicographically smallest order.  ``best_prefix`` and
+    ``best_trial`` name the winner (``best_trial`` is the first trial that
+    drew its tail, or None when no rounding produced it), ``rounding_streams``
+    counts the streams drawn, one per rounded set, and ``randomness_used``
+    says whether there were any.  ``lp_solves`` and ``lp_pivots`` count the
+    simplex solves and pivots of the residual relaxations.  Prefix length u
+    shrinks until at most ``prefix_cap`` ordered prefixes remain; a cap below
+    n, the count of one-element prefixes, raises GuardExceeded.  With u >= n
+    the one set is the whole ground set: all n! orders are scored once (n! x
+    n ints) and the mode is "exhaustive".
     """
     n = inst.n
     if not 0.0 < epsilon < 1.0:
@@ -482,16 +469,20 @@ def ptas_dcg(
             res_obj = res.objective
             local = _round_orders(res.x, res_inst, res_gain, params, rng.child(sidx), params.trials)
             diagnostics["rounding_streams"] += 1
-        lp_bound = max(lp_bound, float(_values(heads, sets, gains).max()) + res_obj)
-
+        # Distinct tails, sorted, each with its first trial.  The heads are
+        # sorted too, so the first best row is the smallest best order.
+        local, first = np.unique(local, axis=0, return_index=True)
         tails = np.array(rest, dtype=int)[local]
         orders = np.hstack([np.repeat(heads, len(tails), axis=0), np.tile(tails, (len(heads), 1))])
-        row, val = _best_candidate(orders, sets, gains)
-        order = tuple(int(e) for e in orders[row])
+        vals = _values(orders, sets, gains)
+        head_vals = _values(heads, sets, gains) if residual else vals  # else heads cover all
+        lp_bound = max(lp_bound, float(head_vals.max()) + res_obj)
+        row = int(vals.argmax())
+        val, order = float(vals[row]), tuple(int(e) for e in orders[row])
         if val > best_value or (val == best_value and order < best_order):
             best_value, best_order = val, order
             diagnostics["best_prefix"] = list(order[:u_eff])
-            diagnostics["best_trial"] = row % params.trials if residual else None
+            diagnostics["best_trial"] = int(first[row % len(tails)]) if residual else None
 
     ranking = Ranking.from_order(best_order, inst)
     diagnostics["mode"] = "exhaustive" if u_eff == n else "prefix-lp-rounding"

@@ -531,6 +531,8 @@ class TestOracleAndCheck:
          "uweights[0]"),
         ({"kind": "coverage", "universe": "x", "covers": [[0]]}, "universe"),
         ({"kind": "maxcov", "universe": "x", "k": 1, "sets": [[0]]}, "universe"),
+        ({"kind": "maxcov", "universe": 4, "k": 2, "sets": [[0, 1], [2, 3]], "regular": "no"},
+         "regular"),
     ])
     def test_mistyped_number_is_exit_2_without_traceback(self, tmp_path, payload, field):
         path = tmp_path / "bad.json"

@@ -169,6 +169,12 @@ def small_files(tmp: Path) -> dict:
     payloads["string-oracle.json"] = {
         **bench, "oracle": "no", "instances": [{"id": "a", "path": "m.json", "p": 3}],
     }
+    payloads["repeated-seed.json"] = {
+        **bench, "seeds": [1, 2, 1], "instances": [{"id": "a", "path": "m.json", "p": 3}],
+    }
+    for name, weights in (("twin-pair.json", [[0, 1, 0.5], [1, 0, 0.7], [1, 2, 0.2]]),
+                          ("repeated-pair.json", [[1, 2, 0.2], [0, 1, 0.5], [1, 2, 0.2]])):
+        payloads[name] = {"kind": "dks", "n": 3, "weights": weights, "forced": [], "k": 2}
     out = {}
     for name, payload in payloads.items():
         (tmp / name).write_text(json.dumps(payload), encoding="utf-8")
@@ -223,6 +229,14 @@ def small_files(tmp: Path) -> dict:
     pytest.param(["bench", "--spec", "twin-ids.json"], '"id"', id="bench-duplicate-id"),
     pytest.param(["bench", "--spec", "list-id.json"], '"id"', id="bench-list-id"),
     pytest.param(["bench", "--spec", "string-oracle.json"], '"oracle"', id="bench-string-oracle"),
+    pytest.param(["bench", "--spec", "repeated-seed.json"],
+                 'invalid input: bench spec: "seeds" must be distinct', id="bench-repeated-seed"),
+    pytest.param(["oracle", "--in", "twin-pair.json"],
+                 "invalid input: weights[1]: pair (1, 0) is already given",
+                 id="oracle-dks-pair-given-twice"),
+    pytest.param(["check", "--in", "repeated-pair.json"],
+                 "invalid input: weights[2]: pair (1, 2) is already given",
+                 id="check-dks-pair-repeated"),
     pytest.param(["gen", "coverage", "--universe", "4", "--k", "2", "--extra-sets=-1"],
                  "extra_sets", id="gen-coverage-negative-extra-sets"),
 ])

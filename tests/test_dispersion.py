@@ -26,8 +26,9 @@ from divopt.dispersion import (
     qptas_dispersion,
 )
 from divopt import dks
+from divopt.diversification import DiversificationInstance, diversify
 from divopt.dks import den
-from divopt.generators import gen_random_euclidean, gen_random_metric
+from divopt.generators import gen_random_euclidean, gen_random_metric, gen_submodular
 
 
 def line_metric(points) -> MetricInstance:
@@ -306,6 +307,66 @@ class TestQptas:
         assert res.diagnostics["fallback"] == "no-admissible-pair"
         assert res.diagnostics["best_pair"] is None
         assert res.diagnostics["best_pair_index"] is None
+
+
+class TestOneSolvePerBall:
+    """Both schemes solve each distinct ball (nodes, forced, k) once."""
+
+    @staticmethod
+    def solve(scheme, inst, p, seed, inner_gamma):
+        if scheme == "dispersion":
+            return qptas_dispersion(inst, p, 0.5, RngState(seed), inner_gamma=inner_gamma)
+        f = gen_submodular(inst.n, "coverage", seed=seed, universe=2 * inst.n)
+        dinst = DiversificationInstance(inst, f, p)
+        return diversify(dinst, 0.5, RngState(seed), inner_gamma=inner_gamma)
+
+    @pytest.mark.parametrize("inner_gamma", [None, 0.02, 0.3, 1.0])
+    @pytest.mark.parametrize("scheme", ["dispersion", "diversify"])
+    def test_each_ball_is_solved_once_at_its_smallest_delta_star(
+        self, monkeypatch, scheme, inner_gamma
+    ):
+        solves = []
+        real = dks.submodular_dks
+
+        def spy(sub, bonus, params, rng):
+            res = real(sub, bonus, params, rng)
+            solves.append((sub, rng.seed, res.nodes))
+            return res
+
+        monkeypatch.setattr(dks, "submodular_dks", spy)
+        for seed in range(4):
+            inst = gen_random_euclidean(9, 2, seed=830 + seed)
+            p = 3 + seed % 3
+            solves.clear()
+            res = self.solve(scheme, inst, p, seed, inner_gamma)
+            pairs = sorted(
+                ((a, b) for a in range(9) for b in range(9) if a != b),
+                key=lambda ab: (-inst.dist[ab], ab[0], ab[1]),
+            )
+            groups: dict = {}  # ball -> [(pair index, build, ball)] in pair order
+            for idx, (u, v) in enumerate(pairs):
+                try:
+                    sub, ball = build_dks_from_ball(inst, p, u, v, 0.5)
+                except PairInadmissible:
+                    continue
+                groups.setdefault((ball.nodes, ball.forced, ball.k), []).append((idx, sub, ball))
+            d = res.diagnostics
+            assert len(solves) == d["balls_solved"] == len(groups)
+            assert d["balls_solved"] < d["pairs_admissible"]
+            lifted = []
+            for (sub, rng_seed, nodes), group in zip(solves, groups.values()):
+                first, (_, smallest, ball) = group[0][0], group[-1]
+                assert ball.delta_star == min(m[2].delta_star for m in group)
+                assert np.array_equal(sub.weights, smallest.weights)
+                assert (sub.forced, sub.k) == (smallest.forced, smallest.k)
+                assert rng_seed == RngState(seed).child("pair", first).seed
+                sel = tuple(sorted(set(ball.outside) | {ball.nodes[i] for i in nodes}))
+                lifted.append((sel, first))
+            assert res.origin == "ball-candidate"
+            # Equal selections tie, and the earlier ball keeps the win.
+            winner = next(first for sel, first in lifted if sel == res.selection)
+            assert d["best_pair_index"] == winner
+            assert d["best_pair"] == list(pairs[winner])
 
 
 @st.composite

@@ -13,7 +13,6 @@ from divopt.generators import gen_setsystem
 from divopt.lp import solve_lp
 from divopt.ranking import (
     DCG_STANDARD,
-    _best_candidate,
     _round_orders,
     DcgLpLayout,
     GainFunction,
@@ -447,9 +446,11 @@ def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
 class TestBatchedTrials:
     # (n, m, kmax, seed, u, trials, gamma, eta); n - u == 1 leaves one-element
     # residuals.  Small gamma makes most join probabilities 1, so equal orders
-    # repeat across trials.  In the last three cases trials differ: seed 893
+    # repeat across trials.  In the last four cases trials differ: seed 893
     # is won by trial 2; at u = 2, seed 31 is won by trial 2 of its set, and
     # seed 3 by an order that one stream per ordered prefix would not draw.
+    # In seed 89 two elements are in no set, so distinct orders tie as well
+    # as repeated trials.
     CASES = [
         (5, 3, 2, 600, 2, 20, 0.05, 0.3),
         (6, 4, 2, 601, 2, 10, 0.05, 0.3),
@@ -466,6 +467,7 @@ class TestBatchedTrials:
         (8, 5, 2, 893, 1, 30, 0.45, 0.95),
         (8, 8, 3, 31, 2, 10, 0.45, 0.95),
         (8, 8, 3, 3, 2, 8, 0.45, 0.95),
+        (8, 3, 3, 89, 2, 8, 0.45, 0.95),
     ]
 
     @pytest.mark.parametrize("n, m, kmax, seed, u, trials, gamma, eta", CASES)
@@ -512,29 +514,6 @@ class TestBatchedTrials:
         assert [tuple(row) for row in many] == [
             loop_round(x, inst, DCG_STANDARD, params, stream) for _ in range(40)
         ]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_best_candidate_matches_sequential_scan(self, seed):
-        # The last two elements belong to no set, so swapping them keeps the
-        # value: rows tie between distinct orders as well as between repeats.
-        n = 5 + seed % 3
-        base = gen_setsystem(n - 2, 4, 3, seed=720 + seed)
-        inst = SetSystemInstance(n, base.sets)
-        g = RngState(seed).gen
-        pool = []
-        for _ in range(4):
-            perm = [int(e) for e in g.permutation(n)]
-            pool.append(perm)
-            pool.append([{n - 2: n - 1, n - 1: n - 2}.get(e, e) for e in perm])
-        orders = np.array([pool[i] for i in g.integers(0, len(pool), size=40)])
-        sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
-        gains = np.array([DCG_STANDARD(t) for t in range(1, n + 1)])
-        best = (-math.inf, None, None)
-        for row, order in enumerate(tuple(int(e) for e in o) for o in orders):
-            val = dcg_value(order, inst, DCG_STANDARD)
-            if val > best[0] or (val == best[0] and order < best[1]):
-                best = (val, order, row)
-        assert _best_candidate(orders, sets, gains) == (best[2], best[0])
 
     def test_exhaustive_mode_diagnostics(self):
         inst = gen_setsystem(4, 3, 2, seed=612)

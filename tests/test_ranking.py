@@ -483,6 +483,25 @@ class TestBatchedTrials:
         assert got.diagnostics["best_prefix"] == prefix == list(order[:u])
         assert got.diagnostics["best_trial"] == trial
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_candidate_matches_sequential_scan(self, seed):
+        # The last two elements belong to no set, so swapping them keeps the
+        # value: candidates can tie between distinct orders as well as
+        # between repeated trials, and the winner must be the scan's.
+        n = 5 + seed % 3
+        u = 1 + seed % 2
+        base = gen_setsystem(n - 2, 4, 3, seed=720 + seed)
+        inst = SetSystemInstance(n, base.sets)
+        got = ptas_dcg(inst, 0.3, RngState(seed), u=u, gamma=0.45, eta=0.95, trials=8)
+        value, order, lp_bound, prefix, trial = per_trial_ptas(
+            inst, 0.95, RngState(seed), u, 0.45, 8
+        )
+        swapped = tuple({n - 2: n - 1, n - 1: n - 2}.get(e, e) for e in order)
+        assert dcg_value(swapped, inst, DCG_STANDARD) == value
+        assert (got.value, got.ranking.order, got.lp_bound) == (value, order, lp_bound)
+        assert got.diagnostics["best_prefix"] == prefix
+        assert got.diagnostics["best_trial"] == trial
+
     @pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (5, 2), (6, 3), (8, 4)])
     def test_rows_match_single_stream_rounding(self, n, seed):
         inst = gen_setsystem(n, 3, 2, seed=700 + seed)

@@ -381,6 +381,8 @@ def _cmd_solve_dks(args) -> str:
 def _cmd_oracle(args) -> str:
     obj = load_instance(args.infile)
     bonus = _load_bonus(args.bonus) if args.bonus else None
+    if args.guard is not None and args.guard < 0:
+        raise InstanceError("guard must be non-negative")
     guard = {"guard": args.guard} if args.guard is not None else {}
     payload: dict = {"instance": args.infile}
     if isinstance(obj, SetSystemInstance):

@@ -3,9 +3,9 @@
 The approximation scheme guesses a center u and a witness v, keeps the ball
 of radius delta* = 20 d(u,v) / epsilon around u, forces the ring between
 radius delta and delta*, scales pair distances into [0, 1] edge weights, and
-delegates the remaining choice to the density solver.  Every ordered pair is
-built (largest distance first), each distinct ball is solved once, and the
-best candidate is kept, never worse than the pair-greedy baseline.
+delegates the remaining choice to the density solver.  Pairs that cut the
+same two point sets (largest distance first) share one build and one solve,
+and the best candidate is kept, never worse than the pair-greedy baseline.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
     disp,
     disp_cross,
     dive,
+    validate_metric,
 )
 from . import dks
 
@@ -80,7 +81,7 @@ def build_dks_from_ball(
     never exceed 2 delta*, so the clamp is inactive there and
     disp(J) = k (k-1) delta* den(J) holds exactly for size-k supersets of the
     forced ring.  Raises PairInadmissible when the guess cannot host a
-    candidate (gate |outside B(u, delta)| >= p, k < |ring|, or k < 2).
+    candidate: |outside B(u, delta)| >= p (else k - |ring| >= 1), or k < 2.
     """
     if u == v:
         raise PairInadmissible("identical-endpoints")
@@ -96,8 +97,6 @@ def build_dks_from_ball(
     outside = tuple(int(z) for z in np.nonzero(d_u > delta_star)[0])
     k = p - len(outside)
     ring = tuple(z for z in nodes if d_u[z] > delta)
-    if k < len(ring):
-        raise PairInadmissible("ring-exceeds-k")
     if k < 2:
         raise PairInadmissible("k-below-two")
     sub = inst.dist[np.ix_(nodes, nodes)]
@@ -226,15 +225,18 @@ def _ball_scheme(
     """The pair loop of both schemes: maximize disp + f (a SubmodularSpec or
     a value oracle; None means no bonus) against the ``greedy()`` baseline,
     passing ``inner`` (mode, enum_cap, exact_budget) to the density solver;
-    returns (selection, value, origin, diagnostics).  A ball's pairs (same
-    nodes, forced, k) differ only by the scale delta*, so each ball is solved
-    once, at its last pair's build: the smallest delta*, where the additive
-    error gamma' k (k-1) delta* in dispersion units is least.  Its first pair
-    gives the stream, the solve order and ``best_pair``."""
+    returns (selection, value, origin, diagnostics).  A pair's gates and ball
+    depend only on the points within delta* and within delta of u, so pairs
+    are grouped by those two sets and each group is built once, at its last
+    pair: the smallest delta*, where the additive error gamma' k (k-1) delta*
+    is least.  Its first pair gives the stream, solve order and ``best_pair``."""
     if not 0.0 < epsilon < 1.0:
         raise InstanceError("epsilon must lie in (0, 1)")
     if not 2 <= p <= inst.n:
         raise InstanceError("need 2 <= p <= n")
+    report = validate_metric(inst)
+    if not report.ok:
+        raise InstanceError(f"dist is not a metric: {report.message}")
     if f is None:
         key, value = "inner_epsilon", lambda sel: disp(sel, inst)
     else:
@@ -263,19 +265,21 @@ def _ball_scheme(
     pairs.sort(key=lambda uv: (-inst.dist[uv[0], uv[1]], uv[0], uv[1]))
     diagnostics["pairs_total"] = len(pairs)
     skips = diagnostics["skip_reasons"]
-    balls: dict = {}  # (nodes, forced, k) -> (first pair index, last build)
+    groups: dict = {}  # (delta > 0, ball, core) -> (first pair index, last pair, pairs)
     for idx, (u, v) in enumerate(pairs):
+        d_u, delta = inst.dist[u], float(inst.dist[u, v])
+        key = (delta > 0, (d_u <= 20.0 * delta / epsilon).tobytes(), (d_u <= delta).tobytes())
+        first, _, count = groups.get(key, (idx, None, 0))
+        groups[key] = (first, (u, v), count + 1)
+    best_sel, best_val, best_idx = None, -math.inf, None
+    for idx, (u, v), count in groups.values():
         try:
             sub, ball = build_dks_from_ball(inst, p, u, v, epsilon)
         except PairInadmissible as skip:
-            skips[skip.reason] = skips.get(skip.reason, 0) + 1
+            skips[skip.reason] = skips.get(skip.reason, 0) + count
             continue
-        diagnostics["pairs_admissible"] += 1
-        ball_key = (ball.nodes, ball.forced, ball.k)
-        balls[ball_key] = (balls.get(ball_key, (idx,))[0], sub, ball)
-    diagnostics["balls_solved"] = len(balls)
-    best_sel, best_val, best_idx = None, -math.inf, None
-    for idx, sub, ball in balls.values():
+        diagnostics["pairs_admissible"] += count
+        diagnostics["balls_solved"] += 1
         bonus = None if f is None else _BallBonus(f, ball)
         res = dks.submodular_dks(sub, bonus, params, rng.child("pair", idx))
         diagnostics["randomness_used"] |= res.diagnostics["randomness_used"]

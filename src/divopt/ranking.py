@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -448,9 +448,12 @@ def ptas_dcg(
     sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
     gains = np.array([f(t) for t in range(1, n + 1)])
     res_gain = f.shifted(u_eff)
+    n_heads = math.factorial(u_eff)
     for sidx, chosen in enumerate(combinations(range(n), u_eff)):
         held = set(chosen)
-        heads = np.array(list(permutations(chosen)), dtype=int)
+        heads = np.fromiter(
+            chain.from_iterable(permutations(chosen)), dtype=int, count=n_heads * u_eff
+        ).reshape(n_heads, u_eff)
         rest = [e for e in range(n) if e not in held]
         to_local = {e: i for i, e in enumerate(rest)}
         residual = tuple(

@@ -155,6 +155,7 @@ def small_files(tmp: Path) -> dict:
         "d.json": gen_random_dks(7, 3, seed=3),
         "f5.json": gen_submodular(5, "modular", 3),
         "f9.json": gen_submodular(9, "coverage", 3, universe=4),
+        "f3.json": gen_submodular(3, "modular", 3),
     }
     payloads = {name: to_payload(obj) for name, obj in files.items()}
     payloads["ragged.json"] = {"kind": "metric", "n": 2, "dist": [[0.0, 1.0], [1.0]]}
@@ -175,6 +176,11 @@ def small_files(tmp: Path) -> dict:
     for name, weights in (("twin-pair.json", [[0, 1, 0.5], [1, 0, 0.7], [1, 2, 0.2]]),
                           ("repeated-pair.json", [[1, 2, 0.2], [0, 1, 0.5], [1, 2, 0.2]])):
         payloads[name] = {"kind": "dks", "n": 3, "weights": weights, "forced": [], "k": 2}
+    for name, dist in (("diagonal.json", [[3, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                       ("negative.json", [[0, -1, 1], [-1, 0, 1], [1, 1, 0]]),
+                       ("asymmetric.json", [[0, 1, 2], [1, 0, 1], [1, 1, 0]]),
+                       ("triangle.json", [[0, 1, 5], [1, 0, 1], [5, 1, 0]])):
+        payloads[name] = {"kind": "metric", "n": 3, "dist": dist}
     out = {}
     for name, payload in payloads.items():
         (tmp / name).write_text(json.dumps(payload), encoding="utf-8")
@@ -239,6 +245,25 @@ def small_files(tmp: Path) -> dict:
                  id="check-dks-pair-repeated"),
     pytest.param(["gen", "coverage", "--universe", "4", "--k", "2", "--extra-sets=-1"],
                  "extra_sets", id="gen-coverage-negative-extra-sets"),
+    pytest.param(["solve-dispersion", "--in", "diagonal.json", "--p", "2", "--epsilon", "0.5"],
+                 "invalid input: dist is not a metric: dist[0][0] = 3.0 != 0",
+                 id="solve-dispersion-nonzero-diagonal"),
+    pytest.param(["solve-dispersion", "--in", "negative.json", "--p", "3", "--epsilon", "0.5"],
+                 "invalid input: dist is not a metric: dist[0][1] < 0",
+                 id="solve-dispersion-negative-p-is-n"),
+    pytest.param(["solve-dispersion", "--in", "asymmetric.json", "--p", "2", "--epsilon", "0.5"],
+                 "invalid input: dist is not a metric: dist[0][2] != dist[2][0]",
+                 id="solve-dispersion-asymmetric"),
+    pytest.param(["solve-diversification", "--in", "asymmetric.json", "--bonus", "f3.json",
+                  "--p", "3", "--epsilon", "0.5"],
+                 "invalid input: dist is not a metric: dist[0][2] != dist[2][0]",
+                 id="solve-diversification-asymmetric-p-is-n"),
+    pytest.param(["solve-diversification", "--in", "triangle.json", "--bonus", "f3.json",
+                  "--p", "2", "--epsilon", "0.5"],
+                 "invalid input: dist is not a metric: dist[0][2] > dist[0][1] + dist[1][2]",
+                 id="solve-diversification-triangle"),
+    pytest.param(["oracle", "--in", "m.json", "--p", "3", "--guard", "-1"],
+                 "invalid input: guard must be non-negative", id="oracle-negative-guard"),
 ])
 def test_former_traceback_cases_are_exit_2(tmp_path, argv, message):
     files = small_files(tmp_path)

@@ -25,7 +25,7 @@ from divopt.dispersion import (
     greedy_dispersion,
     qptas_dispersion,
 )
-from divopt import dks
+from divopt import dispersion, dks
 from divopt.diversification import DiversificationInstance, diversify
 from divopt.dks import den
 from divopt.generators import gen_random_euclidean, gen_random_metric, gen_submodular
@@ -310,7 +310,15 @@ class TestQptas:
 
 
 class TestOneSolvePerBall:
-    """Both schemes solve each distinct ball (nodes, forced, k) once."""
+    """Both schemes build and solve each distinct ball (nodes, forced, k) once."""
+
+    @staticmethod
+    def fixtures():
+        for seed in range(4):
+            yield seed, gen_random_euclidean(9, 2, seed=830 + seed)
+        pts = gen_random_euclidean(6, 2, seed=834).points[[0, 1, 2, 3, 4, 5, 0, 0, 3]]
+        diff = pts[:, None, :] - pts[None, :, :]
+        yield 4, MetricInstance(n=9, dist=np.sqrt((diff * diff).sum(axis=2)), points=pts)
 
     @staticmethod
     def solve(scheme, inst, p, seed, inner_gamma):
@@ -333,24 +341,45 @@ class TestOneSolvePerBall:
             solves.append((sub, rng.seed, res.nodes))
             return res
 
+        builds = []
+
+        def build_spy(*args):
+            try:
+                out = build_dks_from_ball(*args)
+            except PairInadmissible as skip:
+                builds.append(skip.reason)
+                raise
+            builds.append(out)
+            return out
+
         monkeypatch.setattr(dks, "submodular_dks", spy)
-        for seed in range(4):
-            inst = gen_random_euclidean(9, 2, seed=830 + seed)
+        monkeypatch.setattr(dispersion, "build_dks_from_ball", build_spy)
+        for seed, inst in self.fixtures():
             p = 3 + seed % 3
             solves.clear()
+            builds.clear()
             res = self.solve(scheme, inst, p, seed, inner_gamma)
             pairs = sorted(
                 ((a, b) for a in range(9) for b in range(9) if a != b),
                 key=lambda ab: (-inst.dist[ab], ab[0], ab[1]),
             )
             groups: dict = {}  # ball -> [(pair index, build, ball)] in pair order
+            cuts, skips = set(), {}  # distinct (delta > 0, ball, core); per-pair skips
             for idx, (u, v) in enumerate(pairs):
+                delta = inst.dist[u, v]
+                ball_set = frozenset(np.flatnonzero(inst.dist[u] <= 20.0 * delta / 0.5))
+                cuts.add((delta > 0, ball_set, frozenset(np.flatnonzero(inst.dist[u] <= delta))))
                 try:
                     sub, ball = build_dks_from_ball(inst, p, u, v, 0.5)
-                except PairInadmissible:
+                except PairInadmissible as skip:
+                    skips[skip.reason] = skips.get(skip.reason, 0) + 1
                     continue
                 groups.setdefault((ball.nodes, ball.forced, ball.k), []).append((idx, sub, ball))
             d = res.diagnostics
+            assert len(builds) == len(cuts)
+            assert sum(not isinstance(b, str) for b in builds) == d["balls_solved"]
+            assert d["skip_reasons"] == skips
+            assert d["pairs_admissible"] == sum(len(g) for g in groups.values())
             assert len(solves) == d["balls_solved"] == len(groups)
             assert d["balls_solved"] < d["pairs_admissible"]
             lifted = []
@@ -400,3 +429,30 @@ class TestQptasProperties:
             res.selection, res.value, res.origin
         )
         assert again.diagnostics == res.diagnostics
+
+
+@st.composite
+def symmetric_cases(draw):
+    """Symmetric non-negative matrices with a zero diagonal, zero off-diagonal
+    distances and triangle violations included."""
+    n = draw(st.integers(2, 8))
+    m = n * (n - 1) // 2
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    p = draw(st.integers(2, n))
+    epsilon = draw(st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+    return MetricInstance(n=n, dist=dist + dist.T), p, epsilon
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_cases())
+def test_admissible_ball_forces_fewer_than_k(case):
+    """Past the outside-core gate, k - |ring| = p - |outside B(u, delta)| >= 1."""
+    inst, p, epsilon = case
+    for u in range(inst.n):
+        for v in range(inst.n):
+            try:
+                sub, ball = build_dks_from_ball(inst, p, u, v, epsilon)
+            except PairInadmissible:
+                continue
+            assert len(ball.forced) == len(sub.forced) < ball.k == sub.k

@@ -3,9 +3,9 @@
 A ranking instance asks for one permutation of range(n).  Each demand set S
 with threshold k_S is "covered" at the first position t whose prefix holds
 k_S members of S, and contributes gain(t) to the objective.  The LP
-relaxation assigns elements fractionally to positions and pays for sets via
-monotone coverage variables constrained by a knapsack-cover family that is
-separated on demand.
+relaxation assigns elements fractionally to positions and pays gain(t) for
+each set's coverage step at t, capped at 1 per set and bounded by a
+knapsack-cover family that is separated on demand.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def dcg_value(ranking, inst: SetSystemInstance, f: GainFunction) -> float:
 
 @dataclass(frozen=True)
 class DcgLpLayout:
-    """Variable layout: x[e,t] then y[s,t], positions t stored 0-based."""
+    """Variable layout: x[e,t] then the coverage steps d[s,t] = y[s,t] - y[s,t-1]
+    (y[s,0] = 0), positions t stored 0-based; unpack returns x and y."""
 
     n: int
     m: int
@@ -134,33 +135,30 @@ class DcgLpLayout:
     def x_index(self, e: int, t: int) -> int:
         return e * self.n + (t - 1)
 
-    def y_index(self, s: int, t: int) -> int:
+    def d_index(self, s: int, t: int) -> int:
         return self.n * self.n + s * self.n + (t - 1)
 
     def unpack(self, flat: np.ndarray):
         n, m = self.n, self.m
         x = np.asarray(flat[: n * n], dtype=float).reshape(n, n)
-        y = np.asarray(flat[n * n :], dtype=float).reshape(m, n) if m else np.zeros((0, n))
-        return x, y
+        d = np.asarray(flat[n * n :], dtype=float).reshape(m, n) if m else np.zeros((0, n))
+        return x, np.cumsum(d, axis=1)
 
 
 def build_dcg_lp(inst: SetSystemInstance, f: GainFunction):
-    """Assignment LP whose objective telescopes coverage steps against gains.
+    """Assignment LP that pays f(t) for each coverage step d[s,t].
 
-    Objective: sum over sets of sum_t (y[s,t] - y[s,t-1]) * f(t) with
-    y[s,0] = 0, written per-variable as f(t) - f(t+1) (and f(n) at t=n).
-    Both telescoped coefficients are non-negative because f is non-increasing.
+    Rows: one equality per position and per element and one ("cap", s) row
+    sum_t d[s,t] <= 1 per set; no explicit bounds (x <= 1 follows from the
+    equalities, and y, the prefix sums of d >= 0, is monotone and capped).
     The knapsack-cover family is added lazily via dcg_separation.
     """
     n, m = inst.n, inst.m
     layout = DcgLpLayout(n, m)
     nv = layout.n_vars
     obj = np.zeros(nv)
-    obj[n * n :] = np.tile([f(t) - f(t + 1) for t in range(1, n)] + [f(n)], m)
-    upper = np.full(nv, np.inf)
-    # x <= 1 follows from the assignment equalities; only y needs the cap.
-    upper[n * n :] = 1.0
-    lp = LinearProgram(nv, obj, upper=upper)
+    obj[n * n :] = np.tile([f(t) for t in range(1, n + 1)], m)
+    lp = LinearProgram(nv, obj)
     for t in range(1, n + 1):
         row = np.zeros(nv)
         row[t - 1 : n * n : n] = 1.0  # x[e, t] for every e
@@ -170,17 +168,16 @@ def build_dcg_lp(inst: SetSystemInstance, f: GainFunction):
         row[e * n : (e + 1) * n] = 1.0  # x[e, t] for every t
         lp.add_constraint(row, "==", 1.0, key=("elem", e))
     for s in range(m):
-        for t in range(2, n + 1):
-            row = np.zeros(nv)
-            row[layout.y_index(s, t)] = 1.0
-            row[layout.y_index(s, t - 1)] = -1.0
-            lp.add_constraint(row, ">=", 0.0, key=("mono", s, t))
+        row = np.zeros(nv)
+        row[layout.d_index(s, 1) : layout.d_index(s, n) + 1] = 1.0
+        lp.add_constraint(row, "<=", 1.0, key=("cap", s))
     return lp, layout
 
 
 @dataclass(frozen=True)
 class KnapsackCut:
-    """Violated cover constraint for (set_index, t) at witness subset A."""
+    """Violated cover constraint for (set_index, t) at witness subset A:
+    sum over S - A of x[e,1..t] >= (k - |A|) * (d[s,1] + ... + d[s,t])."""
 
     set_index: int
     t: int
@@ -192,7 +189,8 @@ class KnapsackCut:
         coeffs = np.zeros(layout.n_vars)
         for e in members - set(self.A):
             coeffs[layout.x_index(e, 1) : layout.x_index(e, self.t) + 1] = 1.0
-        coeffs[layout.y_index(self.set_index, self.t)] = -(k - len(self.A))
+        s = self.set_index
+        coeffs[layout.d_index(s, 1) : layout.d_index(s, self.t) + 1] = -(k - len(self.A))
         return Constraint(coeffs, ">=", 0.0, key=("kc", self.set_index, self.t, self.A))
 
 
@@ -476,7 +474,9 @@ def ptas_dcg(
         # sorted too, so the first best row is the smallest best order.
         local, first = np.unique(local, axis=0, return_index=True)
         tails = np.array(rest, dtype=int)[local]
-        orders = np.hstack([np.repeat(heads, len(tails), axis=0), np.tile(tails, (len(heads), 1))])
+        orders = heads  # u = n: every tail is empty, so the heads are the orders
+        if rest:
+            orders = np.hstack([np.repeat(heads, len(tails), 0), np.tile(tails, (len(heads), 1))])
         vals = _values(orders, sets, gains)
         head_vals = _values(heads, sets, gains) if residual else vals  # else heads cover all
         lp_bound = max(lp_bound, float(head_vals.max()) + res_obj)

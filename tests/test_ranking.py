@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from divopt.core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from divopt.generators import gen_setsystem
-from divopt.lp import solve_lp
+from divopt.lp import Constraint, LinearProgram, solve_lp, solve_with_cuts
 from divopt.ranking import (
     DCG_STANDARD,
     _round_orders,
@@ -110,7 +110,7 @@ class TestLpConstruction:
                 seen.add(layout.x_index(e, t))
         for s in range(2):
             for t in range(1, 5):
-                seen.add(layout.y_index(s, t))
+                seen.add(layout.d_index(s, t))
         assert seen == set(range(4 * 4 + 2 * 4))
 
     def test_row_inventory(self):
@@ -121,23 +121,26 @@ class TestLpConstruction:
         assert keys.count(("slot", 1)) == 1
         assert sum(1 for k in keys if k[0] == "slot") == 3
         assert sum(1 for k in keys if k[0] == "elem") == 3
-        # Monotonicity rows for t = 2..n, per set.
-        assert sum(1 for k in keys if k[0] == "mono") == 2 * 2
+        # One cap row sum_t d[s,t] <= 1 per set; no monotonicity rows and no
+        # explicit bounds, since the coverage steps d are only bounded below.
+        caps = [row for row in lp.rows if row.key[0] == "cap"]
+        assert [row.key for row in caps] == [("cap", 0), ("cap", 1)]
+        assert all((row.rel, row.rhs) == ("<=", 1.0) for row in caps)
+        assert not any(k[0] == "mono" for k in keys)
+        assert np.isinf(lp.upper).all()
 
-    def test_objective_telescopes(self):
+    def test_objective_pays_gain_per_step(self):
         inst = small_instance()
         lp, layout = build_dcg_lp(inst, DCG_STANDARD)
         f = DCG_STANDARD
         for s in range(2):
-            for t in range(1, 3):
-                c = lp.objective[layout.y_index(s, t)]
-                assert c == pytest.approx(f(t) - f(t + 1))
-            assert lp.objective[layout.y_index(s, 3)] == pytest.approx(f(3))
+            for t in range(1, 4):
+                assert lp.objective[layout.d_index(s, t)] == f(t)
         assert not lp.objective[: 9].any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rows_match_per_element_restatement(self, seed):
-        # Objective, assignment rows and cover cuts, entry by entry, as the
+        # Objective, assignment and cap rows and cover cuts, entry by entry, as the
         # layout's index helpers place them; bit-equal to the slices.
         inst = gen_setsystem(5, 4, 3, seed)
         f = GainFunction("dcg", shift=seed)
@@ -146,9 +149,14 @@ class TestLpConstruction:
         obj = np.zeros(layout.n_vars)
         for s in range(inst.m):
             for t in range(1, n + 1):
-                obj[layout.y_index(s, t)] = f(t) - f(t + 1) if t < n else f(n)
+                obj[layout.d_index(s, t)] = f(t)
         assert lp.objective.tobytes() == obj.tobytes()
         rows = {row.key: row.coeffs for row in lp.rows}
+        for s in range(inst.m):
+            want = np.zeros(layout.n_vars)
+            for t in range(1, n + 1):
+                want[layout.d_index(s, t)] = 1.0
+            assert rows[("cap", s)].tobytes() == want.tobytes()
         for t in range(1, n + 1):
             want = np.zeros(layout.n_vars)
             for e in range(n):
@@ -168,7 +176,8 @@ class TestLpConstruction:
                         for e in sorted(members - set(A)):
                             for tp in range(1, t + 1):
                                 want[layout.x_index(e, tp)] += 1.0
-                        want[layout.y_index(s, t)] = -(k - len(A))
+                        for tp in range(1, t + 1):
+                            want[layout.d_index(s, tp)] = -(k - len(A))
                         assert got.coeffs.tobytes() == want.tobytes()
                         assert (got.rel, got.rhs, got.key) == (">=", 0.0, ("kc", s, t, A))
 
@@ -201,7 +210,8 @@ class TestSeparation:
             x, y = integral_point(inst, perm)
             cuts = dcg_separation(x, y, inst, tol=1e-9)
             assert cuts == []
-            point = np.concatenate([x.reshape(-1), y.reshape(-1)])
+            d = np.diff(y, axis=1, prepend=0.0)
+            point = np.concatenate([x.reshape(-1), d.reshape(-1)])
             value = float(lp.objective @ point)
             r = Ranking.from_order(perm, inst)
             assert value == pytest.approx(dcg_value(r, inst, DCG_STANDARD))
@@ -264,6 +274,78 @@ class TestLpRelaxation:
         res = solve_dcg_lp(inst, DCG_STANDARD)
         diffs = np.diff(res.y, axis=1)
         assert (diffs >= -1e-7).all()
+
+
+def telescoped_relaxation(inst: SetSystemInstance, f: GainFunction):
+    """The relaxation over cumulative coverage y[s,t] (reference).
+
+    Objective f(t) - f(t+1) on y[s,t] (f(n) at t = n), ("mono", s, t) rows
+    y[s,t] >= y[s,t-1], bounds y <= 1, and cover cuts with -(k - |A|) on
+    y[s,t] alone.  y[s,t] takes the flat index of d[s,t].  Returns the cut
+    loop's result.
+    """
+    n, m = inst.n, inst.m
+    layout = DcgLpLayout(n, m)
+    nv = layout.n_vars
+    obj = np.zeros(nv)
+    obj[n * n :] = np.tile([f(t) - f(t + 1) for t in range(1, n)] + [f(n)], m)
+    upper = np.full(nv, np.inf)
+    upper[n * n :] = 1.0
+    lp = LinearProgram(nv, obj, upper=upper)
+    for t in range(1, n + 1):
+        row = np.zeros(nv)
+        row[t - 1 : n * n : n] = 1.0
+        lp.add_constraint(row, "==", 1.0, key=("slot", t))
+    for e in range(n):
+        row = np.zeros(nv)
+        row[e * n : (e + 1) * n] = 1.0
+        lp.add_constraint(row, "==", 1.0, key=("elem", e))
+    for s in range(m):
+        for t in range(2, n + 1):
+            row = np.zeros(nv)
+            row[layout.d_index(s, t)] = 1.0
+            row[layout.d_index(s, t - 1)] = -1.0
+            lp.add_constraint(row, ">=", 0.0, key=("mono", s, t))
+
+    def oracle(flat):
+        cuts = []
+        for c in dcg_separation(flat[: n * n].reshape(n, n), flat[n * n :].reshape(m, n), inst):
+            members, k = inst.sets[c.set_index]
+            coeffs = np.zeros(nv)
+            for e in members - set(c.A):
+                coeffs[layout.x_index(e, 1) : layout.x_index(e, c.t) + 1] = 1.0
+            coeffs[layout.d_index(c.set_index, c.t)] = -(k - len(c.A))
+            cuts.append(Constraint(coeffs, ">=", 0.0, key=("kc", c.set_index, c.t, c.A)))
+        return cuts
+
+    return solve_with_cuts(lp, oracle)
+
+
+_GAINS = st.one_of(
+    st.builds(lambda shift: GainFunction("dcg", shift=shift), st.integers(0, 2)),
+    st.builds(lambda v: GainFunction("constant", value=v), st.sampled_from([0.25, 0.5, 1.0])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(0, 5),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    f=_GAINS,
+)
+def test_coverage_steps_match_telescoped_relaxation(n, m, kmax, seed, f):
+    # Same polytope, two coordinate systems: the optimum agrees, and the
+    # prefix sums of the steps are monotone and end at most at 1, though
+    # the LP has neither monotonicity rows nor y <= 1 bounds.
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    res = solve_dcg_lp(inst, f)
+    ref = telescoped_relaxation(inst, f)
+    assert res.loop.clean and ref.clean
+    assert abs(res.objective - ref.solution.objective) <= 1e-9
+    assert (np.diff(res.y, axis=1) >= -1e-9).all()
+    assert (res.y[:, -1] <= 1.0 + 1e-7).all()
 
 
 class TestRounding:

@@ -1,10 +1,21 @@
 """Dense-tableau linear programming with Bland's rule, plus a cut loop.
 
 The solver is deliberately small: maximize c.x subject to rows of <=, >=,
-or == constraints and finite lower / optional upper variable bounds.  Two
-phases, artificial variables only where needed, Bland's rule throughout so
-cycling is impossible.  Intended for the modest LPs built by the ranking
-module, not as a general-purpose solver.
+or == constraints and finite lower / optional upper variable bounds.  It
+starts in one of three ways:
+
+- cold: two phases, equalities split into two inequalities, artificial
+  variables only where needed;
+- from a start basis that is primal feasible (one structural column per
+  equality row, the slack of every inequality row): no phase 1, the primal
+  simplex runs from that basis;
+- from an earlier optimal solve of the same program with fewer rows: the new
+  rows are appended to its tableau, written in its basis, and the dual
+  simplex reoptimizes.  This is how the cut loop runs its later rounds.
+
+Bland's rule throughout, in the primal and the dual simplex, so cycling is
+impossible.  Intended for the modest LPs built by the ranking module, not as
+a general-purpose solver.
 """
 
 from __future__ import annotations
@@ -29,6 +40,9 @@ __all__ = [
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 RC_TOL = 1e-9
+# A basic value below -DUAL_TOL leaves in the dual simplex: far below the 1e-9
+# violation a cut oracle reports, so every cut appended is enforced.
+DUAL_TOL = 1e-12
 
 
 class LpError(RuntimeError):
@@ -101,6 +115,9 @@ class LpSolution:
     x: np.ndarray | None
     objective: float | None
     pivots: int = 0
+    # The optimal tableau and basis of a solve given a start, to resume from.
+    tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int):
@@ -145,8 +162,139 @@ def _bland_loop(T, basis, n_cols, max_pivots, pivots_done):
             raise LpError(f"pivot budget {max_pivots} exhausted")
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None) -> LpSolution:
-    """Two-phase dense simplex.  Equalities are split into two inequalities."""
+def _dual_loop(T, basis, max_pivots, pivots_done):
+    """Run dual Bland pivots on a dual feasible tableau T until primal
+    feasible (optimal), or until a row shows the program infeasible."""
+    pivots = pivots_done
+    rc, body, rhs = T[-1, :-1], T[:-1, :-1], T[:-1, -1]
+    while True:
+        out = (rhs < -DUAL_TOL).nonzero()[0]
+        if not len(out):
+            return "optimal", pivots
+        r = int(out[basis.take(out).argmin()])  # Bland: smallest basic index leaves
+        row = body[r]
+        neg = (row < -PIVOT_TOL).nonzero()[0]
+        if not len(neg):
+            return "infeasible", pivots  # row r: a sum of non-negatives < 0
+        ratios = rc.take(neg) / -row.take(neg)
+        best = float(ratios.min())
+        # Bland: the smallest column among the ratio ties enters.
+        j = int(neg[(ratios <= best + PIVOT_TOL * (1.0 + abs(best))).argmax()])
+        _pivot(T, basis, r, j)
+        pivots += 1
+        if pivots > max_pivots:
+            raise LpError(f"pivot budget {max_pivots} exhausted")
+
+
+def _append_rows(T, basis, n_vars, rows):
+    """T and basis grown by ``rows``, each written in the current basis.
+
+    Tableau layout: one row per constraint (a >= row negated to <=), then the
+    objective row; columns are the structural variables, then one slack per
+    inequality row in row order, then the rhs.  An appended inequality row
+    gets a new slack column, basic in it; an equality row has no basic
+    column (-1) until one is pivoted in.
+    """
+    m, cols = T.shape[0] - 1, T.shape[1] - 1
+    eq = np.array([con.rel == "==" for con in rows], dtype=bool)
+    sign = np.array([-1.0 if con.rel == ">=" else 1.0 for con in rows])
+    slack = np.flatnonzero(~eq)
+    out = np.zeros((m + len(rows) + 1, cols + len(slack) + 1))
+    out[:m, :cols] = T[:-1, :-1]
+    out[:m, -1] = T[:-1, -1]
+    out[-1, :cols] = T[-1, :-1]
+    out[-1, -1] = T[-1, -1]
+    new = out[m:-1]
+    coeffs = np.array([con.coeffs for con in rows], dtype=float).reshape(len(rows), n_vars)
+    new[:, :n_vars] = coeffs * sign[:, None]
+    new[:, -1] = sign * [con.rhs for con in rows]
+    new[slack, cols + np.arange(len(slack))] = 1.0
+    placed = np.flatnonzero(basis >= 0)
+    if len(placed) and len(rows):
+        basic = basis[placed]
+        new -= new[:, basic] @ out[placed]
+        new[:, basic] = 0.0
+    basis = np.concatenate((basis, np.full(len(rows), -1)))
+    basis[m + slack] = cols + np.arange(len(slack))
+    return out, basis
+
+
+def _start_tableau(lp: LinearProgram, start: Sequence[int]):
+    """Tableau and basis of ``lp`` at the start basis: ``start[i]`` is the
+    structural column made basic for the i-th equality row, each inequality
+    row keeps its slack.  Raises InstanceError unless that basis exists and is
+    primal feasible."""
+    if lp.lower.any() or np.isfinite(lp.upper).any():
+        raise InstanceError("a start basis needs zero lower bounds and no upper bounds")
+    eq = [con.rel == "==" for con in lp.rows]
+    if len(start) != sum(eq):
+        raise InstanceError("a start basis names one column per equality row")
+    T = np.zeros((1, lp.n_vars + 1))
+    T[0, :-1] = -lp.objective
+    T, basis = _append_rows(T, np.zeros(0, dtype=int), lp.n_vars, lp.rows)
+    for j in start:
+        free = np.flatnonzero(basis < 0)
+        size = np.abs(T[free, j])
+        if not len(free) or size.max() <= PIVOT_TOL:
+            raise InstanceError("start basis is singular")
+        _pivot(T, basis, int(free[size.argmax()]), int(j))
+    if T[:-1, -1].min(initial=0.0) < -FEAS_TOL:
+        raise InstanceError("start basis is not primal feasible")
+    return T, basis
+
+
+def _solve_from(lp: LinearProgram, start, max_pivots: int | None) -> LpSolution:
+    """Phase 2 from a start basis, or dual reoptimization from a solution."""
+    resume = isinstance(start, LpSolution)
+    if resume:
+        if start.tableau is None:
+            raise InstanceError("can only resume from an optimal solve given a start")
+        m = start.tableau.shape[0] - 1
+        fresh = lp.rows[m:]
+        if any(con.rel == "==" for con in fresh):
+            raise InstanceError("rows added to a resumed program must be inequalities")
+        T, basis = _append_rows(start.tableau, start.basis, lp.n_vars, fresh)
+    else:
+        T, basis = _start_tableau(lp, start)
+    if max_pivots is None:
+        max_pivots = 200 + 40 * (T.shape[0] + T.shape[1] - 2)
+    pivots = 0
+    if resume:
+        status, pivots = _dual_loop(T, basis, max_pivots, pivots)
+        if status == "infeasible":
+            return LpSolution("infeasible", None, None, pivots)
+    # From a start basis, phase 2; after the dual simplex, a cleanup of any
+    # reduced cost its ratio-test tolerance left negative (usually none).
+    status, pivots = _bland_loop(T, basis, T.shape[1] - 1, max_pivots, pivots)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, pivots)
+    x = np.zeros(lp.n_vars)
+    structural = basis < lp.n_vars
+    x[basis[structural]] = T[:-1, -1][structural]
+    return LpSolution("optimal", x, float(lp.objective @ x), pivots, T, basis)
+
+
+def solve_lp(lp: LinearProgram, max_pivots: int | None = None, *, start=None) -> LpSolution:
+    """Dense simplex with Bland's rule; ``max_pivots`` bounds the pivots of
+    this call (default 200 + 40 x (rows + columns) of its tableau) and
+    raises LpError when exceeded.
+
+    With no ``start``: two phases, equalities split into two inequalities.
+
+    With ``start`` a sequence of column indices: a start basis made of those
+    structural columns, one per equality row, and the slack of every
+    inequality row.  Each column in turn is pivoted into the free equality
+    row where its entry is largest.  The basis must be primal feasible, so
+    phase 1 is skipped; this needs zero lower bounds and no upper bounds.
+
+    With ``start`` an optimal LpSolution of an earlier call given a start,
+    on the same program with fewer rows: the rows added since (inequalities
+    only) are appended to a copy of its tableau and the dual simplex
+    reoptimizes.  Solutions from a start carry their tableau and basis, so
+    they can be resumed in turn.
+    """
+    if start is not None:
+        return _solve_from(lp, start, max_pivots)
     n = lp.n_vars
     shift = lp.lower
 
@@ -249,24 +397,34 @@ def solve_with_cuts(
     lp: LinearProgram,
     oracle: Callable[[np.ndarray], Iterable[Constraint]],
     max_rounds: int = 60,
+    *,
+    start: Sequence[int] | None = None,
 ) -> CutLoopResult:
     """Solve, ask the separation oracle, add new cuts, repeat.
 
     Stops when the oracle returns nothing new or max_rounds is reached; a
     dirty exit (violations remaining) is reported via ``clean=False``, never
-    silently.  Cuts are deduplicated by their dedup key.
+    silently.  Cuts are deduplicated by their dedup key.  Each round is one
+    ``solve_lp`` call.  Without ``start`` each is a cold two-phase solve.
+    With ``start``, a primal feasible start basis (see ``solve_lp``), the
+    first round runs from it and each later round resumes from the previous
+    optimal tableau: the fresh cuts (inequalities, each violated there) are
+    appended as rows and the dual simplex reoptimizes.
     """
     work = lp.copy()
     seen = {c.dedup_key() for c in work.rows}
     history: list[float] = []
     cuts_added = 0
     solves = pivots = 0
+    resume = start
 
     def solve():
-        nonlocal solves, pivots
-        sol = solve_lp(work)
+        nonlocal solves, pivots, resume
+        sol = solve_lp(work, start=resume)
         solves += 1
         pivots += sol.pivots
+        if start is not None:
+            resume = sol
         return sol
 
     def result(clean: bool) -> CutLoopResult:

@@ -42,6 +42,7 @@ __all__ = [
 SEP_TOL = 1e-9
 MAX_CUT_ROUNDS = 80  # default cut-round budget of each relaxation solve
 PREFIX_CAP = 100_000  # default bound on the prefixes ptas_dcg enumerates
+VALUES_BLOCK = 4096  # orders _values scores at a time
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,19 @@ class DcgLpLayout:
     def d_index(self, s: int, t: int) -> int:
         return self.n * self.n + s * self.n + (t - 1)
 
+    def tree_basis(self) -> list[int]:
+        """Start basis for build_dcg_lp's equality rows: x[e,e] (value 1) for
+        every e, then x[e,e+1] (value 0) for e < n - 1 (positions 0-based).
+
+        These edges form the path slot 0, element 0, slot 1, ..., element n-1
+        of the assignment graph, a spanning tree, so the basis inverse is
+        integral.  With every cap and cut row's slack basic the point is
+        x = I, d = 0, which meets every cap and every knapsack-cover row.
+        """
+        n = self.n
+        diag = [self.x_index(e, e + 1) for e in range(n)]
+        return diag + [self.x_index(e, e + 2) for e in range(n - 1)]
+
     def unpack(self, flat: np.ndarray):
         n, m = self.n, self.m
         x = np.asarray(flat[: n * n], dtype=float).reshape(n, n)
@@ -148,10 +162,13 @@ class DcgLpLayout:
 def build_dcg_lp(inst: SetSystemInstance, f: GainFunction):
     """Assignment LP that pays f(t) for each coverage step d[s,t].
 
-    Rows: one equality per position and per element and one ("cap", s) row
-    sum_t d[s,t] <= 1 per set; no explicit bounds (x <= 1 follows from the
-    equalities, and y, the prefix sums of d >= 0, is monotone and capped).
-    The knapsack-cover family is added lazily via dcg_separation.
+    Rows: one equality per position, one per element but the last (the
+    position rows and the element rows both sum to n, so the last element
+    row is implied), and one ("cap", s) row sum_t d[s,t] <= 1 per set; no
+    explicit bounds (x <= 1 follows from the equalities, and y, the prefix
+    sums of d >= 0, is monotone and capped).  The knapsack-cover family is
+    added lazily via dcg_separation.  ``layout.tree_basis()`` names a
+    primal feasible start basis.
     """
     n, m = inst.n, inst.m
     layout = DcgLpLayout(n, m)
@@ -163,7 +180,7 @@ def build_dcg_lp(inst: SetSystemInstance, f: GainFunction):
         row = np.zeros(nv)
         row[t - 1 : n * n : n] = 1.0  # x[e, t] for every e
         lp.add_constraint(row, "==", 1.0, key=("slot", t))
-    for e in range(n):
+    for e in range(n - 1):
         row = np.zeros(nv)
         row[e * n : (e + 1) * n] = 1.0  # x[e, t] for every t
         lp.add_constraint(row, "==", 1.0, key=("elem", e))
@@ -231,7 +248,8 @@ class DcgLpResult:
 def solve_dcg_lp(
     inst: SetSystemInstance, f: GainFunction, max_rounds: int = MAX_CUT_ROUNDS
 ) -> DcgLpResult:
-    """Build the relaxation and run constraint generation to completion."""
+    """Build the relaxation and run constraint generation to completion,
+    from the tree basis, each later cut round warm (see solve_with_cuts)."""
     if max_rounds < 0:
         raise InstanceError("max_rounds must be non-negative")
     lp, layout = build_dcg_lp(inst, f)
@@ -240,7 +258,7 @@ def solve_dcg_lp(
         x, y = layout.unpack(flat)
         return [c.to_constraint(inst, layout) for c in dcg_separation(x, y, inst)]
 
-    loop = solve_with_cuts(lp, oracle, max_rounds=max_rounds)
+    loop = solve_with_cuts(lp, oracle, max_rounds=max_rounds, start=layout.tree_basis())
     if loop.solution.status != "optimal":
         raise InstanceError(f"relaxation unexpectedly {loop.solution.status}")
     x, y = layout.unpack(loop.solution.x)
@@ -341,21 +359,28 @@ class RankSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _values(orders: np.ndarray, sets: list, gains: np.ndarray) -> np.ndarray:
+def _values(
+    orders: np.ndarray, sets: list, gains: np.ndarray, block: int = VALUES_BLOCK
+) -> np.ndarray:
     """Gain of the sets each row of ``orders`` covers; ``gains[t-1]`` is f(t).
 
     Rows hold L <= n distinct elements, and a set counts when its k-th
     smallest member position is at most L; that position is its cover time.
-    Gains add set by set from 0.0, the float sums of dcg_value.
+    Gains add set by set from 0.0, the float sums of dcg_value.  Rows are
+    scored ``block`` at a time, so temporary arrays stay a block's worth;
+    each row's sum is the same whatever the block.
     """
     rows, length = orders.shape
     # Elements past the row sit at position L + 1, which reads gain 0.0.
-    pos = np.full((rows, len(gains)), length + 1)
-    pos[np.arange(rows)[:, None], orders] = np.arange(1, length + 1)
     padded = np.append(gains[:length], 0.0)
     vals = np.zeros(rows)
-    for members, k in sets:
-        vals += padded[np.partition(pos[:, members], k - 1, axis=1)[:, k - 1] - 1]
+    for lo in range(0, rows, block):
+        part = orders[lo : lo + block]
+        pos = np.full((len(part), len(gains)), length + 1)
+        pos[np.arange(len(part))[:, None], part] = np.arange(1, length + 1)
+        out = vals[lo : lo + block]
+        for members, k in sets:
+            out += padded[np.partition(pos[:, members], k - 1, axis=1)[:, k - 1] - 1]
     return vals
 
 

@@ -189,6 +189,31 @@ class TestSolvers:
         assert stdout == ""
         assert not out.exists() and not dump.exists()
 
+    def test_solve_dcg_pivot_budget_in_a_warm_round_is_refused_with_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The first solve of each relaxation keeps its budget; every warm
+        # reoptimization after a cut round gets none.
+        ss = gen_file(tmp_path, capsys, "ss.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
+        real, warm = divopt.lp.solve_lp, []
+
+        def tight(prog, max_pivots=None, *, start=None):
+            warm.append(isinstance(start, divopt.lp.LpSolution))
+            return real(prog, 0 if warm[-1] else max_pivots, start=start)
+
+        monkeypatch.setattr(divopt.lp, "solve_lp", tight)
+        out, dump = tmp_path / "out.json", tmp_path / "lp.json"
+        code, stdout, err = run(capsys, "solve-dcg", "--in", str(ss), "--epsilon", "0.3",
+                                "--u", "2", "--gamma", "0.05", "--trials", "5",
+                                "--dump-lp", str(dump), "--out", str(out))
+        assert code == 3
+        assert "pivot budget 0 exhausted" in err
+        assert warm[0] is False and warm[-1] is True
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists() and not dump.exists()
+
     @pytest.mark.parametrize("n, sets, order, value", [
         (0, [], [], 0.0),
         (1, [{"members": [0], "k": 1}], [0], 1.0),

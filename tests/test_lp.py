@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from divopt import (
+    DCG_STANDARD,
     Constraint,
     GainFunction,
     InstanceError,
@@ -13,6 +14,8 @@ from divopt import (
     LpError,
     LpSolution,
     RngState,
+    build_dcg_lp,
+    dcg_separation,
     gen_setsystem,
     ptas_dcg,
     solve_dcg_lp,
@@ -194,6 +197,70 @@ def test_cut_loop_round_budget_reports_dirty():
     res = solve_with_cuts(lp, oracle, max_rounds=2)
     assert not res.clean
     assert res.cuts_added == 2
+
+
+def test_warm_cut_loop_reports_infeasible():
+    # x2 = 1 is a feasible start basis for the equality; the cut x0 + x1 >= 2
+    # then empties the program, which the dual simplex must report.
+    lp = _lp([1, 1, 0], rows=[([1, 1, 1], "==", 1.0)])
+    cut = Constraint(np.array([1.0, 1.0, 0.0]), ">=", 2.0, key="too-much")
+    res = solve_with_cuts(lp, lambda x: [cut], start=[2])
+    assert res.solution.status == "infeasible"
+    assert not res.clean
+    assert (res.solves, res.cuts_added) == (2, 1)
+    assert res.objective_history == [pytest.approx(1.0, abs=1e-12)]
+    cold = lp.copy()
+    cold.add_constraint(cut.coeffs, cut.rel, cut.rhs)
+    assert solve_lp(cold).status == "infeasible"
+
+
+def test_start_basis_is_checked():
+    lp = _lp([1, 1], rows=[([1, 1], "==", 1.0), ([1, 0], "<=", 0.5)])
+    assert solve_lp(lp, start=[1]).objective == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InstanceError, match="not primal feasible"):
+        # x0 = 1 breaks x0 <= 0.5.
+        solve_lp(lp, start=[0])
+    with pytest.raises(InstanceError, match="one column per equality"):
+        solve_lp(lp, start=[])
+    with pytest.raises(InstanceError, match="singular"):
+        solve_lp(_lp([1, 1], rows=[([1, 0], "==", 1.0), ([2, 0], "==", 2.0)]), start=[0, 1])
+    with pytest.raises(InstanceError, match="upper bounds"):
+        solve_lp(_lp([1], rows=[([1], "==", 1.0)], upper=np.ones(1)), start=[0])
+    with pytest.raises(InstanceError, match="resume"):
+        solve_lp(lp, start=solve_lp(lp))  # a cold solve carries no tableau
+
+
+def test_dual_rounds_keep_reduced_costs_feasible(monkeypatch):
+    # The dual ratio test keeps every reduced cost non-negative, so the
+    # primal cleanup after a warm round has nothing to do.
+    seen = []
+    real = lp_mod._dual_loop
+
+    def spy(T, basis, max_pivots, pivots_done):
+        out = real(T, basis, max_pivots, pivots_done)
+        seen.append((out[1] - pivots_done, float(T[-1, :-1].min())))
+        return out
+
+    monkeypatch.setattr(lp_mod, "_dual_loop", spy)
+    for seed in range(6):
+        solve_dcg_lp(gen_setsystem(6, 5, 3, seed), DCG_STANDARD)
+    assert sum(pivots for pivots, _ in seen) > 0
+    assert min(rc for _, rc in seen) >= -lp_mod.RC_TOL
+
+
+def test_pivot_budget_in_a_warm_round_raises():
+    inst = gen_setsystem(6, 5, 3, 0)
+    lp, layout = build_dcg_lp(inst, DCG_STANDARD)
+    first = solve_lp(lp, start=layout.tree_basis())
+    cuts = dcg_separation(*layout.unpack(first.x), inst)
+    assert cuts
+    for cut in cuts:
+        con = cut.to_constraint(inst, layout)
+        lp.add_constraint(con.coeffs, con.rel, con.rhs, con.key)
+    with pytest.raises(LpError, match="pivot budget 0 exhausted"):
+        solve_lp(lp, max_pivots=0, start=first)
+    again = solve_lp(lp, start=first)  # the failed round left ``first`` intact
+    assert again.status == "optimal" and again.pivots > 0
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +513,14 @@ class TestMatchesReferenceSimplex:
         inst = gen_setsystem(6, 6, 3, 5)
         got = ptas_dcg(inst, 0.1, RngState(5), u=2, gamma=0.05, trials=3).diagnostics
         solves = []
+        real = lp_mod.solve_lp
 
-        def reference(prog, *args, **kwargs):
-            sol = reference_solve_lp(prog, *args, **kwargs)
+        def spy(prog, *args, **kwargs):
+            sol = real(prog, *args, **kwargs)
             solves.append(sol.pivots)
             return sol
 
-        monkeypatch.setattr(lp_mod, "solve_lp", reference)
+        monkeypatch.setattr(lp_mod, "solve_lp", spy)
         want = ptas_dcg(inst, 0.1, RngState(5), u=2, gamma=0.05, trials=3).diagnostics
         assert got == want
         assert got["lp_pivots"] == sum(solves) > 0
@@ -502,6 +570,28 @@ class TestAgainstHighs:
         pytest.importorskip("scipy")
         for prog in _dcg_residual_lps(seeds=(0,)):
             sol = solve_lp(prog)
+            status, objective = _highs(prog)
+            assert sol.status == status == "optimal"
+            assert sol.objective == pytest.approx(objective, abs=1e-7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_rounds_match_highs(self, seed, monkeypatch):
+        # Every round of the warm cut loop, the tree-start solve and each
+        # dual reoptimization, against HiGHS on the same rows.
+        pytest.importorskip("scipy")
+        rounds = []
+        real = lp_mod.solve_lp
+
+        def record(prog, *args, **kwargs):
+            sol = real(prog, *args, **kwargs)
+            rounds.append((prog.copy(), kwargs.get("start"), sol))
+            return sol
+
+        monkeypatch.setattr(lp_mod, "solve_lp", record)
+        res = solve_dcg_lp(gen_setsystem(6, 5, 3, seed), GainFunction("dcg", shift=seed % 3))
+        assert res.loop.clean and len(rounds) == res.loop.solves >= 2
+        assert all(isinstance(start, LpSolution) for _, start, _ in rounds[1:])
+        for prog, _, sol in rounds:
             status, objective = _highs(prog)
             assert sol.status == status == "optimal"
             assert sol.objective == pytest.approx(objective, abs=1e-7)

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divopt.core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from divopt.generators import gen_setsystem
+from divopt import lp as lp_mod
 from divopt.lp import Constraint, LinearProgram, solve_lp, solve_with_cuts
 from divopt.ranking import (
     DCG_STANDARD,
     _round_orders,
+    _values,
     DcgLpLayout,
     GainFunction,
     KnapsackCut,
@@ -120,7 +122,8 @@ class TestLpConstruction:
         keys = [row.key for row in lp.rows]
         assert keys.count(("slot", 1)) == 1
         assert sum(1 for k in keys if k[0] == "slot") == 3
-        assert sum(1 for k in keys if k[0] == "elem") == 3
+        # The last element row is implied by the others and is left out.
+        assert [k for k in keys if k[0] == "elem"] == [("elem", 0), ("elem", 1)]
         # One cap row sum_t d[s,t] <= 1 per set; no monotonicity rows and no
         # explicit bounds, since the coverage steps d are only bounded below.
         caps = [row for row in lp.rows if row.key[0] == "cap"]
@@ -162,11 +165,12 @@ class TestLpConstruction:
             for e in range(n):
                 want[layout.x_index(e, t)] = 1.0
             assert rows[("slot", t)].tobytes() == want.tobytes()
-        for e in range(n):
+        for e in range(n - 1):
             want = np.zeros(layout.n_vars)
             for t in range(1, n + 1):
                 want[layout.x_index(e, t)] = 1.0
             assert rows[("elem", e)].tobytes() == want.tobytes()
+        assert ("elem", n - 1) not in rows
         for s, (members, k) in enumerate(inst.sets):
             for t in range(1, n + 1):
                 for size in range(k):
@@ -346,6 +350,59 @@ def test_coverage_steps_match_telescoped_relaxation(n, m, kmax, seed, f):
     assert abs(res.objective - ref.solution.objective) <= 1e-9
     assert (np.diff(res.y, axis=1) >= -1e-9).all()
     assert (res.y[:, -1] <= 1.0 + 1e-7).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(0, 5),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    f=_GAINS,
+)
+@example(n=1, m=0, kmax=1, seed=0, f=DCG_STANDARD)
+@example(n=1, m=3, kmax=3, seed=1, f=DCG_STANDARD)
+@example(n=6, m=0, kmax=2, seed=2, f=DCG_STANDARD)
+def test_warm_cut_loop_matches_cold_loop(n, m, kmax, seed, f):
+    # The tree basis is a feasible start: its basic values are x = I and
+    # d = 0 with every cap slack at 1.  The warm loop (tree start, then the
+    # dual simplex after each round) ends clean at the cold loop's optimum.
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    lp, layout = build_dcg_lp(inst, f)
+    T, basis = lp_mod._start_tableau(lp, layout.tree_basis())
+    point = np.zeros(lp.n_vars)
+    structural = basis < lp.n_vars
+    point[basis[structural]] = T[:-1, -1][structural]
+    assert (T[:-1, -1] >= 0.0).all()
+    x, y = layout.unpack(point)
+    assert x.tobytes() == np.eye(n).tobytes()
+    assert not y.any()
+    res = solve_dcg_lp(inst, f)
+    assert res.loop.clean
+
+    def oracle(flat):
+        xs, ys = layout.unpack(flat)
+        return [c.to_constraint(inst, layout) for c in dcg_separation(xs, ys, inst)]
+
+    cold = solve_with_cuts(lp, oracle, max_rounds=80)
+    assert cold.clean
+    assert abs(res.objective - cold.solution.objective) <= 1e-9
+
+
+def test_values_in_blocks_match_one_block():
+    # Each row is scored on its own, so the block size moves no bit of any
+    # value, nor the first argmax.  Whole orders and short prefixes alike.
+    inst = gen_setsystem(7, 5, 3, seed=3)
+    sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
+    gains = np.array([DCG_STANDARD(t) for t in range(1, 8)])
+    perms = np.array(list(itertools.permutations(range(7))))
+    for orders in (perms, perms[::6, :3]):
+        whole = _values(orders, sets, gains, block=len(orders))
+        for block in (1, 7, 1000, 4096):
+            part = orders[:300] if block == 1 else orders
+            got = _values(part, sets, gains, block=block)
+            assert got.tobytes() == whole[: len(part)].tobytes()
+            assert got.argmax() == whole[: len(part)].argmax()
 
 
 class TestRounding:

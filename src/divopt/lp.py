@@ -1,18 +1,18 @@
 """Dense-tableau linear programming with Bland's rule, plus a cut loop.
 
-The solver is deliberately small: maximize c.x subject to rows of <=, >=,
-or == constraints and finite lower / optional upper variable bounds.  It
-starts in one of three ways:
+The solver is deliberately small: maximize c.x over x >= 0 subject to rows
+of <=, >= or == constraints.  Every solve starts from a basis, in one of two
+ways:
 
-- cold: two phases, equalities split into two inequalities, artificial
-  variables only where needed;
 - from a start basis that is primal feasible (one structural column per
-  equality row, the slack of every inequality row): no phase 1, the primal
-  simplex runs from that basis;
+  equality row, the slack of every inequality row): the primal simplex runs
+  from that basis.  A program whose rows are all <= with a non-negative
+  right-hand side starts from its slack basis, ``start=[]``;
 - from an earlier optimal solve of the same program with fewer rows: the new
   rows are appended to its tableau, written in its basis, and the dual
   simplex reoptimizes.  This is how the cut loop runs its later rounds.
 
+There is no phase 1, so every caller names a feasible basis or a solution.
 Bland's rule throughout, in the primal and the dual simplex, so cycling is
 impossible.  Intended for the modest LPs built by the ranking module, not as
 a general-purpose solver.
@@ -65,7 +65,12 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """max objective . x subject to rows and box bounds (lower must be finite)."""
+    """max objective . x subject to rows, over x >= 0.
+
+    ``lower`` and ``upper`` are checked box bounds (lower finite), but
+    ``solve_lp`` refuses any other than the defaults 0 and inf: a bound is
+    written as a row.
+    """
 
     n_vars: int
     objective: np.ndarray
@@ -111,11 +116,14 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """One solve's status, point, objective and pivot count.  An optimal
+    solution also carries its tableau and basis, so a later ``solve_lp`` can
+    resume from it (``start=solution``) once rows are added."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
     pivots: int = 0
-    # The optimal tableau and basis of a solve given a start, to resume from.
     tableau: np.ndarray | None = field(default=None, repr=False, compare=False)
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -243,12 +251,30 @@ def _start_tableau(lp: LinearProgram, start: Sequence[int]):
     return T, basis
 
 
-def _solve_from(lp: LinearProgram, start, max_pivots: int | None) -> LpSolution:
-    """Phase 2 from a start basis, or dual reoptimization from a solution."""
+def solve_lp(
+    lp: LinearProgram, max_pivots: int | None = None, *, start: Sequence[int] | LpSolution
+) -> LpSolution:
+    """Dense simplex with Bland's rule from a basis; ``max_pivots`` bounds the
+    pivots of this call (default 200 + 40 x (rows + columns) of its tableau)
+    and raises LpError when exceeded.
+
+    With ``start`` a sequence of column indices: a start basis made of those
+    structural columns, one per equality row, and the slack of every
+    inequality row (``[]`` when there are no equality rows).  Each column in
+    turn is pivoted into the free equality row where its entry is largest.
+    The basis must be primal feasible, and the program needs zero lower
+    bounds and no upper bounds; the primal simplex runs from there.
+
+    With ``start`` an optimal LpSolution of an earlier call, on the same
+    program with fewer rows: the rows added since (inequalities only) are
+    appended to a copy of its tableau and the dual simplex reoptimizes.
+    Every optimal solution carries its tableau and basis, so it can be
+    resumed in turn.
+    """
     resume = isinstance(start, LpSolution)
     if resume:
         if start.tableau is None:
-            raise InstanceError("can only resume from an optimal solve given a start")
+            raise InstanceError("can only resume from an optimal solve")
         m = start.tableau.shape[0] - 1
         fresh = lp.rows[m:]
         if any(con.rel == "==" for con in fresh):
@@ -263,8 +289,9 @@ def _solve_from(lp: LinearProgram, start, max_pivots: int | None) -> LpSolution:
         status, pivots = _dual_loop(T, basis, max_pivots, pivots)
         if status == "infeasible":
             return LpSolution("infeasible", None, None, pivots)
-    # From a start basis, phase 2; after the dual simplex, a cleanup of any
-    # reduced cost its ratio-test tolerance left negative (usually none).
+    # From a start basis, the primal simplex; after the dual simplex, a
+    # cleanup of any reduced cost its ratio-test tolerance left negative
+    # (usually none).
     status, pivots = _bland_loop(T, basis, T.shape[1] - 1, max_pivots, pivots)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
@@ -272,114 +299,6 @@ def _solve_from(lp: LinearProgram, start, max_pivots: int | None) -> LpSolution:
     structural = basis < lp.n_vars
     x[basis[structural]] = T[:-1, -1][structural]
     return LpSolution("optimal", x, float(lp.objective @ x), pivots, T, basis)
-
-
-def solve_lp(lp: LinearProgram, max_pivots: int | None = None, *, start=None) -> LpSolution:
-    """Dense simplex with Bland's rule; ``max_pivots`` bounds the pivots of
-    this call (default 200 + 40 x (rows + columns) of its tableau) and
-    raises LpError when exceeded.
-
-    With no ``start``: two phases, equalities split into two inequalities.
-
-    With ``start`` a sequence of column indices: a start basis made of those
-    structural columns, one per equality row, and the slack of every
-    inequality row.  Each column in turn is pivoted into the free equality
-    row where its entry is largest.  The basis must be primal feasible, so
-    phase 1 is skipped; this needs zero lower bounds and no upper bounds.
-
-    With ``start`` an optimal LpSolution of an earlier call given a start,
-    on the same program with fewer rows: the rows added since (inequalities
-    only) are appended to a copy of its tableau and the dual simplex
-    reoptimizes.  Solutions from a start carry their tableau and basis, so
-    they can be resumed in turn.
-    """
-    if start is not None:
-        return _solve_from(lp, start, max_pivots)
-    n = lp.n_vars
-    shift = lp.lower
-
-    # <= rows over shifted variables x' = x - lower: each constraint in order
-    # (an equality as itself, then its negation), then one unit row per
-    # finite upper bound.
-    src, sign = [], []
-    for i, con in enumerate(lp.rows):
-        if con.rel == "==":
-            src += (i, i)
-            sign += (1.0, -1.0)
-        else:
-            src.append(i)
-            sign.append(-1.0 if con.rel == ">=" else 1.0)
-    sign = np.array(sign)
-    coeffs = np.array([con.coeffs for con in lp.rows], dtype=float).reshape(len(lp.rows), n)
-    rhs = np.array([con.rhs for con in lp.rows], dtype=float)
-    # With all lower bounds zero, each coeffs @ shift of finite coefficients
-    # is +0.0 and leaves every rhs bit as it is, so the products are skipped.
-    if shift.any():
-        rhs -= [float(con.coeffs @ shift) for con in lp.rows]
-    hi = lp.upper - shift
-    bounded = np.flatnonzero(np.isfinite(hi))
-    k = len(src)
-    m = k + len(bounded)
-    b = np.concatenate((rhs[src] * sign, hi[bounded]))
-
-    neg = np.flatnonzero(b < 0)
-    n_art = len(neg)
-    n_cols = n + m + n_art
-    if max_pivots is None:
-        max_pivots = 200 + 40 * (m + n_cols)
-
-    # tableau: structural | slack | artificial | rhs, plus one objective row
-    T = np.zeros((m + 1, n_cols + 1))
-    T[:k, :n] = coeffs[src] * sign[:, None]
-    T[k + np.arange(len(bounded)), bounded] = 1.0
-    T[:m, -1] = b
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    basis = np.arange(n, n + m)
-    art_cols = n + m + np.arange(n_art)
-    T[neg] = -T[neg]
-    T[neg, art_cols] = 1.0
-    basis[neg] = art_cols
-
-    pivots = 0
-    if n_art:
-        # Phase 1: maximize -sum(artificials); z-row starts at +1 per
-        # artificial, minus each artificial row in turn.
-        T[-1, art_cols] = 1.0
-        T[-1] = np.subtract.reduce(T[np.append(m, neg)], axis=0)
-        status, pivots = _bland_loop(T, basis, n_cols, max_pivots, pivots)
-        if status == "unbounded":
-            raise LpError("phase-1 objective reported unbounded")
-        if T[-1, -1] < -FEAS_TOL:
-            return LpSolution("infeasible", None, None, pivots)
-        # Drive any degenerate artificial out of the basis.  Its row always
-        # has a pivot: the slack column of an artificial's row starts as the
-        # negated artificial column and row operations keep it exactly so,
-        # so it reads -1 wherever the artificial is basic.
-        for i in np.flatnonzero(basis >= n + m):
-            _pivot(T, basis, i, int((np.abs(T[i, : n + m]) > PIVOT_TOL).argmax()))
-            pivots += 1
-        # Drop the artificial columns: the rhs moves next to the slacks.
-        T[:, n + m] = T[:, -1]
-        T = T[:, : n + m + 1]
-
-    # Phase 2 objective row: -c, minus cost times row for each basic column
-    # with a nonzero cost, in row order.  Basic columns are unit vectors, so
-    # each cost is the one read before any row is subtracted.
-    T[-1] = 0.0
-    T[-1, :n] = -lp.objective
-    cost = T[-1, basis]
-    rows = np.flatnonzero(cost)
-    T[-1] = np.subtract.reduce(np.vstack((T[-1:], cost[rows, None] * T[rows])), axis=0)
-    n_cols = T.shape[1] - 1
-    status, pivots = _bland_loop(T, basis, n_cols, max_pivots, pivots)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, pivots)
-
-    x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = T[:-1, -1][structural]
-    x = x + shift
-    return LpSolution("optimal", x, float(lp.objective @ x), pivots)
 
 
 @dataclass
@@ -398,34 +317,32 @@ def solve_with_cuts(
     oracle: Callable[[np.ndarray], Iterable[Constraint]],
     max_rounds: int = 60,
     *,
-    start: Sequence[int] | None = None,
+    start: Sequence[int] | LpSolution,
 ) -> CutLoopResult:
     """Solve, ask the separation oracle, add new cuts, repeat.
 
     Stops when the oracle returns nothing new or max_rounds is reached; a
     dirty exit (violations remaining) is reported via ``clean=False``, never
     silently.  Cuts are deduplicated by their dedup key.  Each round is one
-    ``solve_lp`` call.  Without ``start`` each is a cold two-phase solve.
-    With ``start``, a primal feasible start basis (see ``solve_lp``), the
-    first round runs from it and each later round resumes from the previous
-    optimal tableau: the fresh cuts (inequalities, each violated there) are
-    appended as rows and the dual simplex reoptimizes.
+    ``solve_lp`` call.  The first round runs from ``start`` (a primal
+    feasible start basis, or an optimal solution to resume; see
+    ``solve_lp``), and each later round resumes from the previous optimal
+    tableau: the fresh cuts (inequalities, each violated there) are appended
+    as rows and the dual simplex reoptimizes.
     """
     work = lp.copy()
     seen = {c.dedup_key() for c in work.rows}
     history: list[float] = []
     cuts_added = 0
     solves = pivots = 0
-    resume = start
+    sol = start
 
     def solve():
-        nonlocal solves, pivots, resume
-        sol = solve_lp(work, start=resume)
+        nonlocal solves, pivots
+        out = solve_lp(work, start=sol)
         solves += 1
-        pivots += sol.pivots
-        if start is not None:
-            resume = sol
-        return sol
+        pivots += out.pivots
+        return out
 
     def result(clean: bool) -> CutLoopResult:
         return CutLoopResult(sol, rounds, cuts_added, clean, history, solves, pivots)

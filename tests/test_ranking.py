@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from divopt.core import GuardExceeded, InstanceError, RngState, SetSystemInstance
 from divopt.generators import gen_setsystem
 from divopt import lp as lp_mod
-from divopt.lp import Constraint, LinearProgram, solve_lp, solve_with_cuts
+from divopt.lp import Constraint, LinearProgram
+from lp_reference import reference_cut_loop
 from divopt.ranking import (
     DCG_STANDARD,
     _round_orders,
@@ -285,8 +286,8 @@ def telescoped_relaxation(inst: SetSystemInstance, f: GainFunction):
 
     Objective f(t) - f(t+1) on y[s,t] (f(n) at t = n), ("mono", s, t) rows
     y[s,t] >= y[s,t-1], bounds y <= 1, and cover cuts with -(k - |A|) on
-    y[s,t] alone.  y[s,t] takes the flat index of d[s,t].  Returns the cut
-    loop's result.
+    y[s,t] alone.  y[s,t] takes the flat index of d[s,t].  Returns the
+    cold reference cut loop's last solution and whether it ended clean.
     """
     n, m = inst.n, inst.m
     layout = DcgLpLayout(n, m)
@@ -322,7 +323,7 @@ def telescoped_relaxation(inst: SetSystemInstance, f: GainFunction):
             cuts.append(Constraint(coeffs, ">=", 0.0, key=("kc", c.set_index, c.t, c.A)))
         return cuts
 
-    return solve_with_cuts(lp, oracle)
+    return reference_cut_loop(lp, oracle)
 
 
 _GAINS = st.one_of(
@@ -345,9 +346,9 @@ def test_coverage_steps_match_telescoped_relaxation(n, m, kmax, seed, f):
     # the LP has neither monotonicity rows nor y <= 1 bounds.
     inst = gen_setsystem(n, m, kmax, seed=seed)
     res = solve_dcg_lp(inst, f)
-    ref = telescoped_relaxation(inst, f)
-    assert res.loop.clean and ref.clean
-    assert abs(res.objective - ref.solution.objective) <= 1e-9
+    ref, ref_clean = telescoped_relaxation(inst, f)
+    assert res.loop.clean and ref_clean
+    assert abs(res.objective - ref.objective) <= 1e-9
     assert (np.diff(res.y, axis=1) >= -1e-9).all()
     assert (res.y[:, -1] <= 1.0 + 1e-7).all()
 
@@ -366,7 +367,8 @@ def test_coverage_steps_match_telescoped_relaxation(n, m, kmax, seed, f):
 def test_warm_cut_loop_matches_cold_loop(n, m, kmax, seed, f):
     # The tree basis is a feasible start: its basic values are x = I and
     # d = 0 with every cap slack at 1.  The warm loop (tree start, then the
-    # dual simplex after each round) ends clean at the cold loop's optimum.
+    # dual simplex after each round) ends clean at the optimum of a cold
+    # loop over the two-phase reference.
     inst = gen_setsystem(n, m, kmax, seed=seed)
     lp, layout = build_dcg_lp(inst, f)
     T, basis = lp_mod._start_tableau(lp, layout.tree_basis())
@@ -384,9 +386,9 @@ def test_warm_cut_loop_matches_cold_loop(n, m, kmax, seed, f):
         xs, ys = layout.unpack(flat)
         return [c.to_constraint(inst, layout) for c in dcg_separation(xs, ys, inst)]
 
-    cold = solve_with_cuts(lp, oracle, max_rounds=80)
-    assert cold.clean
-    assert abs(res.objective - cold.solution.objective) <= 1e-9
+    cold, cold_clean = reference_cut_loop(lp, oracle, max_rounds=80)
+    assert cold_clean
+    assert abs(res.objective - cold.objective) <= 1e-9
 
 
 def test_values_in_blocks_match_one_block():

@@ -3,7 +3,8 @@
 Subcommands: gen, convert, solve-dcg, solve-dispersion, solve-diversification,
 solve-dks, oracle, check, bench.  Every subcommand accepts --seed, --out, and
 --format.  Exit codes: 0 success, 1 usage error, 2 instance or argument
-validation error, 3 refused brute-force guard / enumeration or pivot budget.
+validation error, 3 refused brute-force guard / enumeration or pivot budget
+or not enough memory.
 
 Solver result JSON deliberately contains no timing, so identical inputs with
 identical seeds produce byte-identical output.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from .bench import _csv_table, records_to_csv, run_bench
 from .core import (
+    BRUTE_GUARD,
     DksInstance,
     GuardExceeded,
     InstanceError,
@@ -105,29 +107,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="divopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a seeded instance")
-    p.add_argument(
-        "type",
-        choices=(
-            "euclidean",
-            "metric",
-            "planted-dks",
-            "random-dks",
-            "coverage",
-            "setsystem",
-            "submodular",
-        ),
+    # Each gen kind takes only its generator's flags; ``make`` calls it.
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, required=True)
+    team = argparse.ArgumentParser(add_help=False)
+    team.add_argument("--k", type=int, required=True)
+    kinds = sub.add_parser("gen", help="generate a seeded instance").add_subparsers(
+        dest="kind", required=True, parser_class=_Parser
     )
-    p.add_argument("--n", type=int)
+
+    def kind(name, make, *parents):
+        p = kinds.add_parser(name, parents=[common, *parents])
+        p.set_defaults(make=make)
+        return p
+
+    p = kind("euclidean", lambda a: gen_random_euclidean(a.n, a.dim, a.seed), size)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--universe", type=int)
+    kind("metric", lambda a: gen_random_metric(a.n, a.seed), size)
+    kind("planted-dks", lambda a: gen_planted_dks(a.n, a.k, a.seed), size, team)
+    p = kind("random-dks", lambda a: gen_random_dks(a.n, a.k, a.seed, a.forced_count), size, team)
+    p.add_argument("--forced-count", type=int, default=0)
+    p = kind(
+        "coverage",
+        lambda a: gen_regular_coverage(a.universe, a.k, a.seed, not a.no_plant, a.extra_sets),
+        team,
+    )
+    p.add_argument("--universe", type=int, required=True)
     p.add_argument("--extra-sets", type=int, default=0)
     p.add_argument("--no-plant", action="store_true")
-    p.add_argument("--forced-count", type=int, default=0)
+    p = kind("setsystem", lambda a: gen_setsystem(a.n, a.m, a.kmax, a.seed), size)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--kmax", type=int, default=2)
+    p = kind("submodular", lambda a: gen_submodular(a.n, a.sub_kind, a.seed, a.universe), size)
     p.add_argument("--sub-kind", choices=("modular", "coverage"), default="modular")
+    p.add_argument("--universe", type=int)
 
     p = sub.add_parser("convert", parents=[common, source], help="apply a reduction to a file")
     p.add_argument("reduction", choices=("dks-to-dispersion", "coverage-to-dcg"))
@@ -163,7 +176,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", parents=[common, source], help="brute-force optimum of a file")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--bonus", default=None)
-    p.add_argument("--guard", type=int, default=None)
+    p.add_argument("--guard", type=int, default=BRUTE_GUARD)
 
     p = sub.add_parser(
         "check", parents=[common, source], help="validate a file, optionally a lemma"
@@ -175,13 +188,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
 
     return parser
-
-
-def _need(args, attr: str, flag: str):
-    value = getattr(args, attr)
-    if value is None:
-        raise UsageError(f"gen {args.type}: missing required {flag}")
-    return value
 
 
 def _result_json(payload: dict) -> str:
@@ -223,35 +229,7 @@ def _load_bonus(path) -> SubmodularSpec:
 
 
 def _cmd_gen(args) -> str:
-    seed = args.seed
-    t = args.type
-    if t == "euclidean":
-        inst = gen_random_euclidean(_need(args, "n", "--n"), args.dim, seed)
-    elif t == "metric":
-        inst = gen_random_metric(_need(args, "n", "--n"), seed)
-    elif t == "planted-dks":
-        inst = gen_planted_dks(_need(args, "n", "--n"), _need(args, "k", "--k"), seed)
-    elif t == "random-dks":
-        inst = gen_random_dks(
-            _need(args, "n", "--n"), _need(args, "k", "--k"), seed, args.forced_count
-        )
-    elif t == "coverage":
-        inst = gen_regular_coverage(
-            _need(args, "universe", "--universe"),
-            _need(args, "k", "--k"),
-            seed,
-            planted=not args.no_plant,
-            extra_sets=args.extra_sets,
-        )
-    elif t == "setsystem":
-        inst = gen_setsystem(
-            _need(args, "n", "--n"), _need(args, "m", "--m"), args.kmax, seed
-        )
-    else:
-        inst = gen_submodular(
-            _need(args, "n", "--n"), args.sub_kind, seed, universe=args.universe
-        )
-    return dumps_instance(inst)
+    return dumps_instance(args.make(args))
 
 
 def _cmd_convert(args) -> str:
@@ -381,19 +359,18 @@ def _cmd_solve_dks(args) -> str:
 def _cmd_oracle(args) -> str:
     obj = load_instance(args.infile)
     bonus = _load_bonus(args.bonus) if args.bonus else None
-    if args.guard is not None and args.guard < 0:
+    if args.guard < 0:
         raise InstanceError("guard must be non-negative")
-    guard = {"guard": args.guard} if args.guard is not None else {}
     payload: dict = {"instance": args.infile}
     if isinstance(obj, SetSystemInstance):
-        ranking, value = brute_force_dcg(obj, **guard)
+        ranking, value = brute_force_dcg(obj, guard=args.guard)
         payload.update({"algorithm": "brute-dcg", "value": value, "order": list(ranking.order)})
     elif isinstance(obj, MetricInstance):
         if args.p is None:
             raise UsageError("oracle on a metric instance needs --p")
         if bonus is not None:
             dinst = DiversificationInstance(obj, bonus, args.p)
-            sel, value, dpart, fpart = brute_force_diversification(dinst, **guard)
+            sel, value, dpart, fpart = brute_force_diversification(dinst, args.guard)
             payload.update(
                 {
                     "algorithm": "brute-diversification",
@@ -404,15 +381,15 @@ def _cmd_oracle(args) -> str:
                 }
             )
         else:
-            sel, value = brute_force_dispersion(obj, args.p, **guard)
+            sel, value = brute_force_dispersion(obj, args.p, args.guard)
             payload.update(
                 {"algorithm": "brute-dispersion", "value": value, "selection": list(sel)}
             )
     elif isinstance(obj, DksInstance):
-        sel, value = brute_force_subdks(obj, bonus, **guard)
+        sel, value = brute_force_subdks(obj, bonus, args.guard)
         payload.update({"algorithm": "brute-dks", "value": value, "selection": list(sel)})
     elif isinstance(obj, CoverageInstance):
-        value = max_coverage_value(obj, **guard)
+        value = max_coverage_value(obj, args.guard)
         payload.update({"algorithm": "brute-coverage", "value": value})
     else:
         raise InstanceError(f"{args.infile}: no oracle for this instance kind")
@@ -493,8 +470,8 @@ def main(argv=None) -> int:
     except InstanceError as exc:
         print(f"divopt: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (GuardExceeded, LpError) as exc:
-        print(f"divopt: refused: {exc}", file=sys.stderr)
+    except (GuardExceeded, LpError, MemoryError) as exc:
+        print(f"divopt: refused: {str(exc) or 'not enough memory'}", file=sys.stderr)
         return 3
     return exit_code
 

@@ -42,6 +42,24 @@ class GuardExceeded(RuntimeError):
     """Raised when a brute-force guard or enumeration budget refuses to run."""
 
 
+BRUTE_GUARD = 1_000_000  # default oracle guard; 9! < BRUTE_GUARD < 10!
+
+
+def _guarded_argmax(candidates: Iterable, count, guard: int, objective: Callable, unit: str):
+    """The first of the ``count`` candidates with the strictly largest
+    ``objective``, and that value as a float.  Raises GuardExceeded, before
+    scoring any candidate, when ``count`` exceeds ``guard``."""
+    if count > guard:
+        many = count if count < 10**18 else "over 10^18"  # str() fails past 4300 digits
+        raise GuardExceeded(f"brute force refuses {many} {unit} (guard {guard})")
+    best, best_val = None, -math.inf
+    for cand in candidates:
+        val = objective(cand)
+        if best is None or val > best_val:
+            best, best_val = cand, val
+    return best, float(best_val)
+
+
 # ---------------------------------------------------------------------------
 # deterministic randomness
 
@@ -123,9 +141,6 @@ class ValidationReport:
     kind: str | None = None
     witness: tuple | None = None
     message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass
@@ -213,7 +228,7 @@ class DksInstance:
             raise InstanceError("weights must be symmetric")
         if np.diag(W).any() and not np.allclose(np.diag(W), 0.0, atol=TOL):
             raise InstanceError("weights must have a zero diagonal")
-        if self.weights.min() < -TOL or self.weights.max() > 1.0 + TOL:
+        if W.min(initial=0.0) < -TOL or W.max(initial=0.0) > 1.0 + TOL:
             raise InstanceError("weights must lie in [0, 1]")
         if not self.forced <= set(range(self.n)):
             raise InstanceError("forced nodes outside range(n)")

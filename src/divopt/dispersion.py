@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    BRUTE_GUARD,
     DksInstance,
-    GuardExceeded,
     InstanceError,
     MetricInstance,
     RngState,
@@ -27,6 +27,7 @@ from .core import (
     disp,
     disp_cross,
     dive,
+    _guarded_argmax,
     validate_metric,
 )
 from . import dks
@@ -326,7 +327,7 @@ def greedy_dispersion(inst: MetricInstance, p: int) -> tuple:
     return tuple(sorted(chosen))
 
 
-def brute_force_dispersion(inst: MetricInstance, p: int, guard: int = 1_000_000):
+def brute_force_dispersion(inst: MetricInstance, p: int, guard: int = BRUTE_GUARD):
     """Exact dispersion optimum by subset enumeration (lex-first tie-break)."""
     return _brute_force(inst, p, guard, lambda S: disp(S, inst))
 
@@ -336,11 +337,4 @@ def _brute_force(inst: MetricInstance, p: int, guard: int, objective):
     if not 0 <= p <= inst.n:
         raise InstanceError("need 0 <= p <= n")
     count = math.comb(inst.n, p)
-    if count > guard:
-        raise GuardExceeded(f"brute force refuses {count} > {guard} subsets")
-    best_sel, best_val = None, -math.inf
-    for combo in combinations(range(inst.n), p):
-        val = objective(combo)
-        if best_sel is None or val > best_val:
-            best_sel, best_val = combo, val
-    return best_sel, float(best_val)
+    return _guarded_argmax(combinations(range(inst.n), p), count, guard, objective, "subsets")

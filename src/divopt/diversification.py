@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (
+    BRUTE_GUARD,
     InstanceError,
     MetricInstance,
     RngState,
@@ -123,7 +124,7 @@ def greedy_diversification(dinst: DiversificationInstance) -> tuple:
     return tuple(sorted(chosen))
 
 
-def brute_force_diversification(dinst: DiversificationInstance, guard: int = 1_000_000):
+def brute_force_diversification(dinst: DiversificationInstance, guard: int = BRUTE_GUARD):
     """Exact dive optimum; returns (selection, dive, disp part, bonus part)."""
     inst = dinst.metric
     oracle = as_value_oracle(dinst.f)

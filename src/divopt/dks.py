@@ -30,11 +30,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
+    BRUTE_GUARD,
     DksInstance,
-    GuardExceeded,
     InstanceError,
     RngState,
     SubmodularSpec,
+    _guarded_argmax,
     as_value_oracle,
 )
 
@@ -286,6 +287,9 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
     I = sorted(inst.forced)
     k = inst.k
     kp = k - len(I)
+    Vp = sorted(set(range(n)) - set(I))
+    if params.s is not None and params.s > len(Vp):
+        raise InstanceError(f"s override {params.s} exceeds the {len(Vp)} free nodes")
     diagnostics: dict = {"k_prime": kp, "randomness_used": False}
     if kp == 0:
         T = tuple(I)
@@ -294,7 +298,6 @@ def submodular_dks(inst: DksInstance, h, params: SubDksParams, rng: RngState) ->
         diagnostics["trivial"] = True
         return DksResult(T, hv + dv, hv, dv, diagnostics)
 
-    Vp = sorted(set(range(n)) - set(I))
     gamma = params.gamma
     gp = 0.01 * gamma
     if params.s is not None:
@@ -491,19 +494,12 @@ def dks_additive(
     return submodular_dks(inst, None, params, rng)
 
 
-def brute_force_subdks(inst: DksInstance, h=None, guard: int = 1_000_000):
+def brute_force_subdks(inst: DksInstance, h=None, guard: int = BRUTE_GUARD):
     """Exact max of h + den over k-sets containing the forced nodes."""
     horacle = _bonus_oracle(h, inst)
     I = sorted(inst.forced)
     kp = inst.k - len(I)
     Vp = sorted(set(range(inst.n)) - set(I))
-    count = math.comb(len(Vp), kp)
-    if count > guard:
-        raise GuardExceeded(f"brute force refuses {count} > {guard} candidate teams")
-    best_T, best_val = None, -math.inf
-    for combo in combinations(Vp, kp):
-        T = tuple(sorted(set(I) | set(combo)))
-        val = float(horacle(frozenset(T))) + _den_or_zero(T, inst)
-        if val > best_val:
-            best_T, best_val = T, val
-    return best_T, float(best_val)
+    teams = (tuple(sorted(set(I) | set(combo))) for combo in combinations(Vp, kp))
+    objective = lambda T: float(horacle(frozenset(T))) + _den_or_zero(T, inst)
+    return _guarded_argmax(teams, math.comb(len(Vp), kp), guard, objective, "candidate teams")

@@ -13,13 +13,14 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    BRUTE_GUARD,
     DksInstance,
-    GuardExceeded,
     InstanceError,
     MetricInstance,
     RngState,
     SetSystemInstance,
     SubmodularSpec,
+    _guarded_argmax,
 )
 
 __all__ = [
@@ -200,18 +201,11 @@ def coverage_to_dcg(cov: CoverageInstance) -> SetSystemInstance:
     return SetSystemInstance(n, tuple(demands), meta=meta)
 
 
-def max_coverage_value(cov: CoverageInstance, guard: int = 100_000) -> float:
+def max_coverage_value(cov: CoverageInstance, guard: int = BRUTE_GUARD) -> float:
     """Brute-force Cov value: best union size over k-subsets of the sets."""
-    count = math.comb(len(cov.sets), cov.k)
-    if count > guard:
-        raise GuardExceeded(f"coverage brute force refuses {count} > {guard}")
-    best = 0
-    for combo in combinations(range(len(cov.sets)), cov.k):
-        covered = set()
-        for j in combo:
-            covered |= cov.sets[j]
-        best = max(best, len(covered))
-    return float(best)
+    m, k = len(cov.sets), cov.k
+    covered = lambda combo: len(frozenset().union(*(cov.sets[j] for j in combo)))
+    return _guarded_argmax(combinations(range(m), k), math.comb(m, k), guard, covered, "subsets")[1]
 
 
 def gen_setsystem(n: int, m: int, kmax: int, seed: int) -> SetSystemInstance:

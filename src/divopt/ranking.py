@@ -10,6 +10,7 @@ knapsack-cover family that is separated on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations
@@ -17,7 +18,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import GuardExceeded, InstanceError, RngState, SetSystemInstance
+from .core import (
+    BRUTE_GUARD,
+    GuardExceeded,
+    InstanceError,
+    RngState,
+    SetSystemInstance,
+    _guarded_argmax,
+)
 from .lp import Constraint, CutLoopResult, LinearProgram, solve_with_cuts
 
 __all__ = [
@@ -211,13 +219,13 @@ class KnapsackCut:
         return Constraint(coeffs, ">=", 0.0, key=("kc", self.set_index, self.t, self.A))
 
 
-def dcg_separation(x: np.ndarray, y: np.ndarray, inst: SetSystemInstance, tol: float = SEP_TOL):
+def dcg_separation(x: np.ndarray, y: np.ndarray, inst: SetSystemInstance):
     """Find violated knapsack-cover constraints at the point (x, y).
 
     With z_e(t) = sum of x[e, t'] over prefix positions t' <= t, the family
     over all A subseteq S reduces to the single tightest witness
     A = {e in S : z_e(t) > y[s,t]}; (s, t) is violated exactly when
-    sum_{e in S} min(z_e(t), y[s,t]) < k_S * y[s,t] - tol.
+    sum_{e in S} min(z_e(t), y[s,t]) < k_S * y[s,t] - SEP_TOL.
     Each (set index, t) pair yields at most one cut.
     """
     n = inst.n
@@ -230,7 +238,7 @@ def dcg_separation(x: np.ndarray, y: np.ndarray, inst: SetSystemInstance, tol: f
         zE = z[idx, :]
         Y = y[s]
         slack = np.minimum(zE, Y[None, :]).sum(axis=0) - k * Y
-        for t0 in np.nonzero(slack < -tol)[0]:
+        for t0 in np.nonzero(slack < -SEP_TOL)[0]:
             A = tuple(e for li, e in enumerate(idx) if zE[li, t0] > Y[t0])
             cuts.append(KnapsackCut(s, int(t0) + 1, A, float(-slack[t0])))
     return cuts
@@ -241,7 +249,6 @@ class DcgLpResult:
     x: np.ndarray
     y: np.ndarray
     objective: float
-    layout: DcgLpLayout
     loop: CutLoopResult
 
 
@@ -262,7 +269,7 @@ def solve_dcg_lp(
     if loop.solution.status != "optimal":
         raise InstanceError(f"relaxation unexpectedly {loop.solution.status}")
     x, y = layout.unpack(loop.solution.x)
-    return DcgLpResult(x, y, float(loop.solution.objective), layout, loop)
+    return DcgLpResult(x, y, float(loop.solution.objective), loop)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +339,6 @@ def _round_orders(
 
 def round_lp(
     xstar: np.ndarray,
-    ystar: np.ndarray,
     inst: SetSystemInstance,
     f: GainFunction,
     params: RoundingParams,
@@ -518,14 +524,11 @@ def ptas_dcg(
     return RankSolution(ranking, best_value, float(lp_bound), diagnostics)
 
 
-def brute_force_dcg(inst: SetSystemInstance, f: GainFunction = DCG_STANDARD, guard: int = 9):
-    """Exact optimum by permutation enumeration; refuses n beyond the guard."""
-    if inst.n > guard:
-        raise GuardExceeded(f"brute force refuses n={inst.n} > {guard}")
-    best_val = -math.inf
-    best_order = None
-    for perm in permutations(range(inst.n)):
-        val = dcg_value(perm, inst, f)
-        if val > best_val:
-            best_val, best_order = val, perm
-    return Ranking.from_order(best_order, inst), float(best_val)
+def brute_force_dcg(
+    inst: SetSystemInstance, f: GainFunction = DCG_STANDARD, guard: int = BRUTE_GUARD
+):
+    """Exact optimum by permutation enumeration; refuses more than ``guard`` orders."""
+    count = math.factorial(inst.n) if inst.n <= 1000 else math.inf  # n! is slow past that
+    objective = functools.partial(dcg_value, inst=inst, f=f)
+    order, val = _guarded_argmax(permutations(range(inst.n)), count, guard, objective, "orders")
+    return Ranking.from_order(order, inst), val

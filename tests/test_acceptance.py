@@ -176,7 +176,7 @@ def test_criterion_4_lp_bounds_and_separation_agreement():
         for _ in range(1000):
             x = g.random((inst.n, inst.n))
             y = g.random((inst.m, inst.n))
-            cuts = dcg_separation(x, y, inst, tol=1e-9)
+            cuts = dcg_separation(x, y, inst)
             got = {(c.set_index, c.t): c.violation for c in cuts}
             z = np.cumsum(x, axis=1)
             want = {}

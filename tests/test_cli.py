@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import divopt
+from divopt import cli
 from divopt.bench import CSV_HEADER
 from divopt.cli import main
 from divopt.core import DksInstance, MetricInstance, SetSystemInstance
@@ -74,6 +75,12 @@ class TestGen:
     def test_unknown_subcommand_and_bad_flag(self, capsys):
         assert run(capsys, "transmogrify")[0] == 1
         assert run(capsys, "gen", "metric", "--n", "x")[0] == 1
+
+    def test_flags_belong_to_their_kind(self, capsys):
+        # --dim is euclidean's alone, and the common flags follow the kind.
+        assert run(capsys, "gen", "metric", "--n", "4", "--dim", "3")[0] == 1
+        assert run(capsys, "gen", "--seed", "3", "metric", "--n", "4")[0] == 1
+        assert run(capsys, "gen", "metric", "--n", "4", "--seed", "3")[0] == 0
 
     def test_csv_not_supported_for_gen(self, capsys):
         code, _, err = run(capsys, "gen", "metric", "--n", "5", "--format", "csv")
@@ -475,6 +482,63 @@ class TestOracleAndCheck:
                            "--guard", "10")
         assert code == 3
         assert "refused" in err
+
+    def test_setsystem_guard_counts_orders(self, tmp_path, capsys):
+        big = gen_file(tmp_path, capsys, "ss11.json",
+                       "gen", "setsystem", "--n", "11", "--m", "4", "--seed", "6")
+        code, _, err = run(capsys, "oracle", "--in", str(big), "--guard", "1000")
+        assert code == 3
+        assert "refuses 39916800 orders (guard 1000)" in err
+        ss = gen_file(tmp_path, capsys, "ss5.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "6")
+        code, _, err = run(capsys, "oracle", "--in", str(ss), "--guard", "119")
+        assert code == 3
+        assert "refuses 120 orders (guard 119)" in err
+        code, out, err = run(capsys, "oracle", "--in", str(ss), "--guard", "120")
+        assert code == 0, err
+        assert sorted(json.loads(out)["order"]) == list(range(5))
+
+    def test_count_too_long_to_print_is_exit_3(self, tmp_path, capsys):
+        # C(20000, 10000) has about 6,000 digits, past Python's int-to-str limit.
+        cov = tmp_path / "cov.json"
+        cov.write_text(json.dumps({"kind": "maxcov", "universe": 1, "k": 10000,
+                                   "sets": [[0]] * 20000}), encoding="utf-8")
+        code, _, err = run(capsys, "oracle", "--in", str(cov))
+        assert code == 3
+        assert "refuses over 10^18 subsets (guard 1000000)" in err
+
+    def test_empty_dks_file(self, tmp_path, capsys):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"kind": "dks", "n": 0, "weights": [], "forced": [], "k": 0}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "solve-dks", "--in", str(path), "--epsilon", "0.5")
+        assert code == 0, err
+        assert json.loads(out)["nodes"] == []
+        code, out, err = run(capsys, "oracle", "--in", str(path))
+        assert code == 0, err
+        assert json.loads(out)["selection"] == []
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "instances": [{"id": "empty", "path": "e.json"}],
+            "algorithms": [{"name": "dks-additive", "epsilon": 0.5}],
+            "oracle": True,
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--spec", str(spec))
+        assert code == 0, err
+        assert [r["value"] for r in json.loads(out)["records"]] == [0.0]
+
+    def test_out_of_memory_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        ss = gen_file(tmp_path, capsys, "ss.json",
+                      "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
+        monkeypatch.setattr(cli, "ptas_dcg", exhausted)
+        code, out, err = run(capsys, "solve-dcg", "--in", str(ss), "--epsilon", "0.3")
+        assert code == 3
+        assert out == ""
+        assert "refused: not enough memory" in err
+        assert "Traceback" not in err
 
     def test_check_valid_metric(self, tmp_path, capsys):
         m = gen_file(tmp_path, capsys, "m.json",

@@ -214,6 +214,8 @@ def small_files(tmp: Path) -> dict:
                  "t must be finite", id="solve-dks-t-nan"),
     pytest.param(["solve-dks", "--in", "d.json", "--epsilon", "1.0", "--s", "2", "--t", "inf"],
                  "t must be finite", id="solve-dks-t-inf"),
+    pytest.param(["solve-dks", "--in", "d.json", "--epsilon", "1.0", "--s", "1000000000000"],
+                 "s override 1000000000000 exceeds the 7 free nodes", id="solve-dks-s-over-free"),
     pytest.param(["gen", "submodular", "--n=-3"], "need n >= 1", id="gen-submodular-negative-n"),
     pytest.param(["gen", "submodular", "--n", "4", "--sub-kind", "coverage", "--universe", "0"],
                  "need universe >= 1", id="gen-submodular-zero-universe"),

@@ -232,6 +232,22 @@ def test_dks_instance_validation():
         DksInstance(2, W, k=3)  # k > n
 
 
+def test_guarded_argmax_refuses_before_scoring_and_keeps_the_first_maximum():
+    scored = []
+
+    def objective(c):
+        scored.append(c)
+        return {"a": 1.0, "b": 3.0, "c": 3.0, "d": 2.0}[c]
+
+    with pytest.raises(core.GuardExceeded, match=r"refuses 4 letters \(guard 3\)"):
+        core._guarded_argmax("abcd", 4, 3, objective, "letters")
+    with pytest.raises(core.GuardExceeded, match=r"refuses over 10\^18 letters"):
+        core._guarded_argmax("abcd", 10**5000, 3, objective, "letters")
+    assert scored == []
+    assert core._guarded_argmax("abcd", 4, 4, objective, "letters") == ("b", 3.0)
+    assert scored == list("abcd")
+
+
 def test_metric_instance_shape_check():
     with pytest.raises(InstanceError):
         MetricInstance(3, np.zeros((2, 2)))

@@ -213,7 +213,7 @@ class TestSeparation:
             lp, layout = build_dcg_lp(inst, DCG_STANDARD)
             perm = tuple(int(v) for v in rng.child(seed).gen.permutation(5))
             x, y = integral_point(inst, perm)
-            cuts = dcg_separation(x, y, inst, tol=1e-9)
+            cuts = dcg_separation(x, y, inst)
             assert cuts == []
             d = np.diff(y, axis=1, prepend=0.0)
             point = np.concatenate([x.reshape(-1), d.reshape(-1)])
@@ -232,7 +232,7 @@ class TestSeparation:
             for trial in range(200):
                 x = g.random((n, n))
                 y = g.random((inst.m, n))
-                cuts = dcg_separation(x, y, inst, tol=1e-9)
+                cuts = dcg_separation(x, y, inst)
                 got = {(c.set_index, c.t): c for c in cuts}
                 z = np.cumsum(x, axis=1)
                 for s, (members, k) in enumerate(inst.sets):
@@ -258,7 +258,7 @@ class TestSeparation:
         inst = small_instance()
         x = np.zeros((3, 3))
         y = np.ones((2, 3))
-        cuts = dcg_separation(x, y, inst, tol=1e-9)
+        cuts = dcg_separation(x, y, inst)
         assert cuts
         row = cuts[0].to_constraint(inst, DcgLpLayout(n=3, m=2))
         assert row.rel == ">="
@@ -414,15 +414,15 @@ class TestRounding:
         params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
         rng = RngState(3)
         for t in range(30):
-            r = round_lp(res.x, res.y, inst, DCG_STANDARD, params, rng.child(t))
+            r = round_lp(res.x, inst, DCG_STANDARD, params, rng.child(t))
             assert sorted(r.order) == list(range(6))
 
     def test_deterministic_per_child(self):
         inst = gen_setsystem(6, 4, 2, seed=17)
         res = solve_dcg_lp(inst, DCG_STANDARD)
         params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
-        a = round_lp(res.x, res.y, inst, DCG_STANDARD, params, RngState(7).child(1))
-        b = round_lp(res.x, res.y, inst, DCG_STANDARD, params, RngState(7).child(1))
+        a = round_lp(res.x, inst, DCG_STANDARD, params, RngState(7).child(1))
+        b = round_lp(res.x, inst, DCG_STANDARD, params, RngState(7).child(1))
         assert a.order == b.order
 
     def test_best_of_many_tracks_lp(self):
@@ -432,7 +432,7 @@ class TestRounding:
         rng = RngState(99)
         best = max(
             dcg_value(
-                round_lp(res.x, res.y, inst, DCG_STANDARD, params, rng.child(t)),
+                round_lp(res.x, inst, DCG_STANDARD, params, rng.child(t)),
                 inst,
                 DCG_STANDARD,
             )
@@ -443,10 +443,9 @@ class TestRounding:
     def test_rejects_non_assignment(self):
         inst = small_instance()
         x = np.full((3, 3), 0.5)
-        y = np.zeros((2, 3))
         params = RoundingParams(gamma=0.05, eta=0.1, trials=1)
         with pytest.raises(InstanceError):
-            round_lp(x, y, inst, DCG_STANDARD, params, RngState(0))
+            round_lp(x, inst, DCG_STANDARD, params, RngState(0))
 
     def test_params_validation(self):
         with pytest.raises(InstanceError):
@@ -566,7 +565,7 @@ def per_trial_ptas(inst, epsilon, rng, u, gamma, trials, f=DCG_STANDARD):
             res_obj, stream = res.objective, rng.child(sidx)
             tails = []
             for trial in range(trials):
-                local = round_lp(res.x, res.y, res_inst, res_gain, params, stream)
+                local = round_lp(res.x, res_inst, res_gain, params, stream)
                 tails.append((trial, tuple(rest[i] for i in local.order)))
         else:
             res_obj, tails = 0.0, [(None, tuple(rest))]
@@ -653,7 +652,7 @@ class TestBatchedTrials:
         assert rows.shape == (25, n)
         single_stream, looped_stream = rng.child(seed), rng.child(seed)
         for row in rows:
-            single = round_lp(res.x, res.y, inst, DCG_STANDARD, params, single_stream)
+            single = round_lp(res.x, inst, DCG_STANDARD, params, single_stream)
             looped = loop_round(res.x, inst, DCG_STANDARD, params, looped_stream)
             assert tuple(row) == single.order == looped
 

@@ -295,6 +295,16 @@ class TestSerialization:
             assert dumps_instance(back) == text
             assert type(back) is type(obj)
 
+    def test_weighted_coverage_round_trip(self):
+        spec = SubmodularSpec(
+            kind="coverage", universe=3, covers=({0}, {1, 2}, {0, 2}), uweights=(0.5, 1.25, 2.0)
+        )
+        text = dumps_instance(spec)
+        back = loads_instance(text)
+        assert back == spec
+        assert back.uweights == (0.5, 1.25, 2.0)
+        assert dumps_instance(back) == text
+
     def test_payload_is_sorted_json(self):
         text = dumps_instance(gen_random_euclidean(4, 2, seed=21))
         payload = json.loads(text)

@@ -15,6 +15,11 @@ and for the submodular selection solver.  "params" holds the solver's keyword
 options; unknown keys and repeated seeds are rejected before anything
 runs.  Deterministic algorithms run once regardless of the seed list;
 oracle values are brute-force optima cached per instance.
+
+``SOLVERS`` declares each approximation algorithm once: its call and its
+options, which are both the "params" keys here and the flags of its
+``solve-*`` command.  ``BASELINES`` holds the deterministic greedy and
+brute-force algorithms, which take no epsilon and no options.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
+from typing import Callable
 
 from .core import (
     DksInstance,
@@ -45,7 +51,7 @@ from .diversification import (
 from .dispersion import brute_force_dispersion, greedy_dispersion, qptas_dispersion
 from .dks import SubDksParams, brute_force_subdks, dks_additive, submodular_dks
 from .io import load_instance
-from .ranking import brute_force_dcg, ptas_dcg
+from .ranking import MAX_CUT_ROUNDS, PREFIX_CAP, brute_force_dcg, ptas_dcg
 
 __all__ = ["BenchRecord", "BenchReport", "run_bench", "records_to_csv", "CSV_HEADER"]
 
@@ -62,6 +68,7 @@ class BenchRecord:
     oracle: float | None
     ratio: float | None
     millis: float
+    diagnostics: dict | None = None  # the solver run's; None for a baseline
 
 
 @dataclass
@@ -93,85 +100,37 @@ class BenchReport:
 
 @dataclass
 class _Bundle:
-    ident: str
+    """An instance with its ``p`` and ``bonus``; ``name`` is how errors cite it."""
+
+    name: str
     obj: object
     p: int | None = None
     bonus: object = None
 
-    def metric(self) -> MetricInstance:
-        if not isinstance(self.obj, MetricInstance):
-            raise InstanceError(f"instance {self.ident!r}: expected a metric instance")
-        if self.p is None:
-            raise InstanceError(f"instance {self.ident!r}: metric algorithms need \"p\"")
+    def kind(self, cls, label: str):
+        if not isinstance(self.obj, cls):
+            raise InstanceError(f"{self.name}: expected a {label} instance")
         return self.obj
+
+    def metric(self) -> MetricInstance:
+        inst = self.kind(MetricInstance, "metric")
+        if self.p is None:
+            raise InstanceError(f"{self.name}: metric algorithms need \"p\"")
+        return inst
 
     def setsystem(self) -> SetSystemInstance:
-        if not isinstance(self.obj, SetSystemInstance):
-            raise InstanceError(f"instance {self.ident!r}: expected a setsystem instance")
-        return self.obj
+        return self.kind(SetSystemInstance, "setsystem")
 
     def dks(self) -> DksInstance:
-        if not isinstance(self.obj, DksInstance):
-            raise InstanceError(f"instance {self.ident!r}: expected a dks instance")
-        return self.obj
+        return self.kind(DksInstance, "dks")
 
     def dinst(self) -> DiversificationInstance:
         if not isinstance(self.bonus, SubmodularSpec):
             raise InstanceError(
-                f"instance {self.ident!r}: diversification needs a \"bonus\" spec "
+                f"{self.name}: diversification needs a \"bonus\" spec "
                 "(a modular or coverage file)"
             )
         return DiversificationInstance(self.metric(), self.bonus, self.p)
-
-
-def _run_ptas_dcg(b, eps, params, rng):
-    return ptas_dcg(b.setsystem(), eps, rng, **params).value
-
-
-def _run_brute_dcg(b, eps, params, rng):
-    return brute_force_dcg(b.setsystem())[1]
-
-
-def _run_qptas_dispersion(b, eps, params, rng):
-    return qptas_dispersion(b.metric(), b.p, eps, rng, **params).value
-
-
-def _run_greedy_dispersion(b, eps, params, rng):
-    return disp(greedy_dispersion(b.metric(), b.p), b.metric())
-
-
-def _run_brute_dispersion(b, eps, params, rng):
-    return brute_force_dispersion(b.metric(), b.p)[1]
-
-
-def _run_diversify(b, eps, params, rng):
-    return diversify(b.dinst(), eps, rng, **params).value
-
-
-def _run_greedy_diversification(b, eps, params, rng):
-    d = b.dinst()
-    return dive(greedy_diversification(d), d.metric, d.f)
-
-
-def _run_brute_diversification(b, eps, params, rng):
-    return brute_force_diversification(b.dinst())[1]
-
-
-def _run_submodular_dks(b, eps, params, rng):
-    sp = SubDksParams(gamma=eps, **params)
-    return submodular_dks(b.dks(), b.bonus, sp, rng).value
-
-
-def _run_dks_additive(b, eps, params, rng):
-    return dks_additive(b.dks(), eps, rng, **params).value
-
-
-def _run_brute_dks(b, eps, params, rng):
-    return brute_force_subdks(b.dks(), b.bonus)[1]
-
-
-def _run_brute_dks_additive(b, eps, params, rng):
-    return brute_force_subdks(b.dks(), None)[1]
 
 
 def _is_int(value) -> bool:
@@ -182,37 +141,120 @@ def _is_num(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-# accepted params: key -> (check, expected JSON type); null keeps a None default
-_INT = (_is_int, "an integer")
-_POS_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
-_NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
-_STR = (lambda v: isinstance(v, str), "a string")
-_INT_OR_NULL = (lambda v: v is None or _is_int(v), "an integer or null")
-_NUM_OR_NULL = (lambda v: v is None or _is_num(v), "a number or null")
-_BALL = {"inner_mode": _STR, "enum_cap": _INT, "inner_gamma": _NUM_OR_NULL, "exact_budget": _INT}
-_DKS = {"s": _INT_OR_NULL, "t": _NUM_OR_NULL, "mode": _STR, "enum_cap": _INT, "exact_budget": _INT}
-_DCG = {
-    "u": _INT_OR_NULL, "gamma": _NUM_OR_NULL, "eta": _NUM_OR_NULL, "trials": _INT_OR_NULL,
-    "prefix_cap": _POS_INT, "max_cut_rounds": _NONNEG_INT,
-}
-_NONE: dict = {}
+_WORDS = {int: "an integer", float: "a number", str: "a string"}
+_AT_LEAST = {0: "a non-negative integer", 1: "a positive integer"}
 
-# name -> (runner, needs_epsilon, deterministic, oracle_name, accepted params)
-REGISTRY = {
-    "ptas-dcg": (_run_ptas_dcg, True, False, "brute-dcg", _DCG),
-    "brute-dcg": (_run_brute_dcg, False, True, None, _NONE),
-    "qptas-dispersion": (_run_qptas_dispersion, True, False, "brute-dispersion", _BALL),
-    "greedy-dispersion": (_run_greedy_dispersion, False, True, "brute-dispersion", _NONE),
-    "brute-dispersion": (_run_brute_dispersion, False, True, None, _NONE),
-    "diversify": (_run_diversify, True, False, "brute-diversification", _BALL),
-    "greedy-diversification": (
-        _run_greedy_diversification, False, True, "brute-diversification", _NONE
+
+@dataclass(frozen=True)
+class Option:
+    """One solver keyword: its bench ``params`` key and its ``solve-*`` flag.
+
+    A None default also admits JSON null.  ``least`` bounds an integer in
+    the bench spec before anything runs (the solver checks its own range on
+    the command line).  ``choices`` maps each accepted flag value to the
+    solver's value; ``flag`` is the flag when it is not ``--key``.
+    """
+
+    key: str
+    type: type
+    default: object = None
+    least: int | None = None
+    flag: str | None = None
+    choices: dict | None = None
+
+    @property
+    def cli_flag(self) -> str:
+        return self.flag or "--" + self.key.replace("_", "-")
+
+    @property
+    def label(self) -> str:
+        what = _AT_LEAST.get(self.least, _WORDS[self.type])
+        return what + (" or null" if self.default is None else "")
+
+    def accepts(self, value) -> bool:
+        if value is None:
+            return self.default is None
+        if self.type is str:
+            return isinstance(value, str)
+        if not (_is_int(value) if self.type is int else _is_num(value)):
+            return False
+        return self.least is None or value >= self.least
+
+
+@dataclass(frozen=True)
+class Solver:
+    """An approximation algorithm: ``call(bundle, epsilon, rng, **options)``
+    returns a result with ``value`` and ``diagnostics``; ``oracle`` names
+    the baseline that scores it."""
+
+    call: Callable
+    options: tuple
+    oracle: str
+
+
+_DCG = (
+    Option("u", int),
+    Option("gamma", float),
+    Option("eta", float),
+    Option("trials", int),
+    Option("prefix_cap", int, PREFIX_CAP, least=1),
+    Option("max_cut_rounds", int, MAX_CUT_ROUNDS, least=0),
+)
+_BALL = (
+    Option(
+        "inner_mode", str, "exact", flag="--inner", choices={"exact": "exact", "scheme": "greedy"}
     ),
-    "brute-diversification": (_run_brute_diversification, False, True, None, _NONE),
-    "submodular-dks": (_run_submodular_dks, True, False, "brute-dks", _DKS),
-    "dks-additive": (_run_dks_additive, True, False, "brute-dks-additive", _DKS),
-    "brute-dks": (_run_brute_dks, False, True, None, _NONE),
-    "brute-dks-additive": (_run_brute_dks_additive, False, True, None, _NONE),
+    Option("enum_cap", int, SubDksParams.enum_cap),
+    Option("inner_gamma", float),
+    Option("exact_budget", int, SubDksParams.exact_budget),
+)
+_DKS = (
+    Option("mode", str, "greedy", choices={"greedy": "greedy", "exact": "exact"}),
+    Option("s", int),
+    Option("t", float),
+    Option("enum_cap", int, SubDksParams.enum_cap),
+    Option("exact_budget", int, SubDksParams.exact_budget),
+)
+
+SOLVERS = {
+    "ptas-dcg": Solver(
+        lambda b, eps, rng, **o: ptas_dcg(b.setsystem(), eps, rng, **o), _DCG, "brute-dcg"
+    ),
+    "qptas-dispersion": Solver(
+        lambda b, eps, rng, **o: qptas_dispersion(b.metric(), b.p, eps, rng, **o),
+        _BALL,
+        "brute-dispersion",
+    ),
+    "diversify": Solver(
+        lambda b, eps, rng, **o: diversify(b.dinst(), eps, rng, **o),
+        _BALL,
+        "brute-diversification",
+    ),
+    "submodular-dks": Solver(
+        lambda b, eps, rng, **o: submodular_dks(b.dks(), b.bonus, SubDksParams(eps, **o), rng),
+        _DKS,
+        "brute-dks",
+    ),
+    "dks-additive": Solver(
+        lambda b, eps, rng, **o: dks_additive(b.dks(), eps, rng, **o), _DKS, "brute-dks-additive"
+    ),
+}
+
+
+# deterministic baselines and oracles: name -> (value of a bundle, oracle name)
+BASELINES = {
+    "brute-dcg": (lambda b: brute_force_dcg(b.setsystem())[1], None),
+    "greedy-dispersion": (
+        lambda b: disp(greedy_dispersion(b.metric(), b.p), b.metric()), "brute-dispersion"
+    ),
+    "brute-dispersion": (lambda b: brute_force_dispersion(b.metric(), b.p)[1], None),
+    "greedy-diversification": (
+        lambda b: dive(greedy_diversification(b.dinst()), b.metric(), b.bonus),
+        "brute-diversification",
+    ),
+    "brute-diversification": (lambda b: brute_force_diversification(b.dinst())[1], None),
+    "brute-dks": (lambda b: brute_force_subdks(b.dks(), b.bonus)[1], None),
+    "brute-dks-additive": (lambda b: brute_force_subdks(b.dks(), None)[1], None),
 }
 
 
@@ -221,40 +263,40 @@ def _check_algorithm(algo) -> None:
     if not isinstance(algo, dict) or "name" not in algo:
         raise InstanceError("bench spec: each algorithm entry needs \"name\"")
     name = algo["name"]
-    if not isinstance(name, str) or name not in REGISTRY:
+    if not isinstance(name, str) or name not in SOLVERS and name not in BASELINES:
         raise InstanceError(f"unknown algorithm {name!r}")
-    _, needs_eps, _, _, accepted = REGISTRY[name]
     eps = algo.get("epsilon")
-    if needs_eps and eps is None:
+    if name in SOLVERS and eps is None:
         raise InstanceError(f"algorithm {name!r} needs \"epsilon\"")
     if eps is not None and not _is_num(eps):
         raise InstanceError(f"algorithm {name!r}: \"epsilon\" must be a number")
     params = algo.get("params", {})
     if not isinstance(params, dict):
         raise InstanceError(f"algorithm {name!r}: \"params\" must be an object")
-    unknown = sorted(set(params) - set(accepted))
+    options = {o.key: o for o in SOLVERS[name].options} if name in SOLVERS else {}
+    unknown = sorted(set(params) - set(options))
     if unknown:
         raise InstanceError(f"algorithm {name!r}: unknown \"params\" key(s) {unknown}")
     for key, value in params.items():
-        check, label = accepted[key]
-        if not check(value):
-            raise InstanceError(f"algorithm {name!r}: \"params\" key {key!r} must be {label}")
+        if not options[key].accepts(value):
+            raise InstanceError(
+                f"algorithm {name!r}: \"params\" key {key!r} must be {options[key].label}"
+            )
 
 
-def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
+def _load_bundles(spec: dict, base_dir: Path) -> dict[str, _Bundle]:
     entries = spec.get("instances")
     if not isinstance(entries, list) or not entries:
         raise InstanceError("bench spec: \"instances\" must be a non-empty list")
-    bundles, seen = [], set()
+    bundles: dict[str, _Bundle] = {}
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
             raise InstanceError(f"instances[{idx}]: need \"id\" and \"path\"")
         ident = entry["id"]
         if not isinstance(ident, str):
             raise InstanceError(f"instances[{idx}]: \"id\" must be a string")
-        if ident in seen:
+        if ident in bundles:
             raise InstanceError(f"instances[{idx}]: \"id\" {ident!r} is not unique")
-        seen.add(ident)
         path, bonus_path, p = entry["path"], entry.get("bonus"), entry.get("p")
         if not isinstance(path, str):
             raise InstanceError(f"instances[{idx}]: \"path\" must be a string")
@@ -264,7 +306,7 @@ def _load_bundles(spec: dict, base_dir: Path) -> list[_Bundle]:
             raise InstanceError(f"instances[{idx}]: \"p\" must be an integer")
         obj = load_instance(base_dir / path)
         bonus = load_instance(base_dir / bonus_path) if bonus_path else None
-        bundles.append(_Bundle(ident, obj, p=p, bonus=bonus))
+        bundles[ident] = _Bundle(f"instance {ident!r}", obj, p=p, bonus=bonus)
     return bundles
 
 
@@ -290,36 +332,32 @@ def run_bench(spec: dict, base_dir) -> BenchReport:
         raise InstanceError("bench spec: \"oracle\" must be true or false")
 
     oracle_cache: dict[tuple, float] = {}
-
-    def oracle_value(bundle: _Bundle, name: str) -> float:
-        key = (bundle.ident, name)
-        if key not in oracle_cache:
-            runner = REGISTRY[name][0]
-            oracle_cache[key] = float(runner(bundle, None, {}, RngState(0)))
-        return oracle_cache[key]
-
     records = []
-    for bundle in bundles:
+    for ident, bundle in bundles.items():
         for algo in algos:
             name, eps = algo["name"], algo.get("epsilon")
-            runner, _, deterministic, oracle_name, _ = REGISTRY[name]
-            params = dict(algo.get("params", {}))
-            run_seeds = seeds[:1] if deterministic else seeds
-            for seed in run_seeds:
-                rng = RngState(int(seed))
+            solver = SOLVERS.get(name)
+            oracle_name = solver.oracle if solver else BASELINES[name][1]
+            # a baseline is deterministic, so it runs once
+            for seed in seeds if solver else seeds[:1]:
+                rng = RngState(seed)
                 t0 = time.perf_counter()
-                value = float(runner(bundle, eps, params, rng))
+                if solver:
+                    res = solver.call(bundle, eps, rng, **algo.get("params", {}))
+                    value, diagnostics = float(res.value), res.diagnostics
+                else:
+                    value, diagnostics = float(BASELINES[name][0](bundle)), None
                 millis = (time.perf_counter() - t0) * 1000.0
-                oracle = None
-                ratio = None
+                oracle = ratio = None
                 if want_oracle and oracle_name is not None:
-                    oracle = oracle_value(bundle, oracle_name)
+                    key = (ident, oracle_name)
+                    if key not in oracle_cache:
+                        oracle_cache[key] = float(BASELINES[oracle_name][0](bundle))
+                    oracle = oracle_cache[key]
                     if oracle > 0:
                         ratio = value / oracle
                 records.append(
-                    BenchRecord(
-                        bundle.ident, name, int(seed), eps, value, oracle, ratio, millis
-                    )
+                    BenchRecord(ident, name, seed, eps, value, oracle, ratio, millis, diagnostics)
                 )
     records.sort(key=lambda r: (r.instance, r.algorithm, r.seed))
     return BenchReport(records)

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import _csv_table, records_to_csv, run_bench
+from .bench import SOLVERS, _Bundle, _csv_table, records_to_csv, run_bench
 from .core import (
     BRUTE_GUARD,
     DksInstance,
@@ -34,14 +34,9 @@ from .diversification import (
     DiversificationInstance,
     brute_force_diversification,
     check_div_structural_lemma,
-    diversify,
 )
-from .dispersion import (
-    brute_force_dispersion,
-    check_structural_lemma,
-    qptas_dispersion,
-)
-from .dks import SubDksParams, brute_force_subdks, submodular_dks
+from .dispersion import brute_force_dispersion, check_structural_lemma
+from .dks import brute_force_subdks
 from .generators import (
     CoverageInstance,
     coverage_to_dcg,
@@ -57,14 +52,7 @@ from .generators import (
 )
 from .io import _jsonable, _parse_json, _read_text, dumps_instance, load_instance
 from .lp import LpError
-from .ranking import (
-    DCG_STANDARD,
-    MAX_CUT_ROUNDS,
-    PREFIX_CAP,
-    brute_force_dcg,
-    ptas_dcg,
-    solve_dcg_lp,
-)
+from .ranking import DCG_STANDARD, brute_force_dcg, solve_dcg_lp
 
 __all__ = ["main"]
 
@@ -90,19 +78,18 @@ def _build_parser() -> _Parser:
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
 
-    # Shared flags live in parents; argparse lists parent flags first, so --in,
-    # --bonus and the scheme flags are separate parents to keep the help order.
+    # Shared flags live in parents; argparse lists parent flags first, so each
+    # is its own parent and a command lists them in its help order.
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--in", dest="infile", required=True)
     bonus = argparse.ArgumentParser(add_help=False)
     bonus.add_argument("--bonus", required=True, help="submodular spec file")
-    ball = argparse.ArgumentParser(add_help=False)
-    ball.add_argument("--p", type=int, required=True)
-    ball.add_argument("--epsilon", type=float, required=True)
-    ball.add_argument("--inner", choices=("exact", "scheme"), default="exact")
-    ball.add_argument("--enum-cap", type=int, default=SubDksParams.enum_cap)
-    ball.add_argument("--inner-gamma", type=float, default=None)
-    ball.add_argument("--exact-budget", type=int, default=SubDksParams.exact_budget)
+    maybe_bonus = argparse.ArgumentParser(add_help=False)
+    maybe_bonus.add_argument("--bonus", default=None, help="optional submodular spec file")
+    pick = argparse.ArgumentParser(add_help=False)
+    pick.add_argument("--p", type=int, required=True)
+    epsilon = argparse.ArgumentParser(add_help=False)
+    epsilon.add_argument("--epsilon", type=float, required=True)
 
     parser = _Parser(prog="divopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -145,33 +132,28 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("convert", parents=[common, source], help="apply a reduction to a file")
     p.add_argument("reduction", choices=("dks-to-dispersion", "coverage-to-dcg"))
 
-    p = sub.add_parser("solve-dcg", parents=[common, source], help="prefix + LP rounding ranking")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--prefix-cap", type=int, default=PREFIX_CAP)
-    p.add_argument("--max-cut-rounds", type=int, default=MAX_CUT_ROUNDS)
+    def solve(command, algorithm, text, *parents):
+        """A solve-* command taking its algorithm's options as flags."""
+        p = sub.add_parser(command, parents=[common, source, *parents], help=text)
+        for opt in SOLVERS[algorithm].options:
+            p.add_argument(
+                opt.cli_flag, dest=opt.key, type=opt.type, default=opt.default, choices=opt.choices
+            )
+        p.set_defaults(algorithm=algorithm)
+        return p
+
+    p = solve("solve-dcg", "ptas-dcg", "prefix + LP rounding ranking", epsilon)
     p.add_argument("--dump-lp", default=None, help="also write the cut-LP solution here")
-
-    sub.add_parser(
-        "solve-dispersion", parents=[common, source, ball], help="ball-decomposition dispersion"
-    )
-    sub.add_parser(
+    solve("solve-dispersion", "qptas-dispersion", "ball-decomposition dispersion", pick, epsilon)
+    solve(
         "solve-diversification",
-        parents=[common, source, bonus, ball],
-        help="dispersion plus submodular bonus",
+        "diversify",
+        "dispersion plus submodular bonus",
+        bonus,
+        pick,
+        epsilon,
     )
-
-    p = sub.add_parser("solve-dks", parents=[common, source], help="dense subgraph selection")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--bonus", default=None, help="optional submodular spec file")
-    p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--enum-cap", type=int, default=SubDksParams.enum_cap)
-    p.add_argument("--exact-budget", type=int, default=SubDksParams.exact_budget)
+    solve("solve-dks", "submodular-dks", "dense subgraph selection", epsilon, maybe_bonus)
 
     p = sub.add_parser("oracle", parents=[common, source], help="brute-force optimum of a file")
     p.add_argument("--p", type=int, default=None)
@@ -218,10 +200,7 @@ def _solve_result(args, algorithm: str, value, **extra) -> str:
 
 
 def _load_as(path, cls, label: str):
-    obj = load_instance(path)
-    if not isinstance(obj, cls):
-        raise InstanceError(f"{path}: expected a {label} instance")
-    return obj
+    return _Bundle(path, load_instance(path)).kind(cls, label)
 
 
 def _load_bonus(path) -> SubmodularSpec:
@@ -241,21 +220,21 @@ def _cmd_convert(args) -> str:
     return dumps_instance(coverage_to_dcg(cov))
 
 
-def _cmd_solve_dcg(args) -> str:
-    inst = _load_as(args.infile, SetSystemInstance, "setsystem")
-    res = ptas_dcg(
-        inst,
-        args.epsilon,
-        RngState(args.seed),
-        u=args.u,
-        gamma=args.gamma,
-        eta=args.eta,
-        trials=args.trials,
-        prefix_cap=args.prefix_cap,
-        max_cut_rounds=args.max_cut_rounds,
-    )
-    if args.dump_lp:
-        lpres = solve_dcg_lp(inst, DCG_STANDARD, max_rounds=args.max_cut_rounds)
+def _cmd_solve(args) -> str:
+    obj = load_instance(args.infile)
+    bonus = _load_bonus(args.bonus) if getattr(args, "bonus", None) else None
+    bundle = _Bundle(args.infile, obj, getattr(args, "p", None), bonus)
+    algorithm = args.algorithm
+    if algorithm == "submodular-dks" and bonus is None:
+        algorithm = "dks-additive"  # solve-dks without --bonus: the density-only solver
+    solver = SOLVERS[algorithm]
+    options = {}
+    for opt in solver.options:
+        value = getattr(args, opt.key)
+        options[opt.key] = opt.choices[value] if opt.choices else value
+    res = solver.call(bundle, args.epsilon, RngState(args.seed), **options)
+    if getattr(args, "dump_lp", None):
+        lpres = solve_dcg_lp(bundle.setsystem(), DCG_STANDARD, max_rounds=args.max_cut_rounds)
         _write(
             args.dump_lp,
             _result_json(
@@ -270,94 +249,20 @@ def _cmd_solve_dcg(args) -> str:
                 }
             ),
         )
-    return _solve_result(
-        args,
-        "ptas-dcg",
-        res.value,
-        order=list(res.ranking.order),
-        lp_bound=res.lp_bound,
-        diagnostics=res.diagnostics,
-    )
-
-
-def _ball_kwargs(args) -> dict:
-    """Solver keywords of the shared ball-scheme flags."""
-    return {
-        "inner_mode": "greedy" if args.inner == "scheme" else "exact",
-        "enum_cap": args.enum_cap,
-        "inner_gamma": args.inner_gamma,
-        "exact_budget": args.exact_budget,
-    }
-
-
-def _cmd_solve_dispersion(args) -> str:
-    inst = _load_as(args.infile, MetricInstance, "metric")
-    res = qptas_dispersion(
-        inst,
-        args.p,
-        args.epsilon,
-        RngState(args.seed),
-        **_ball_kwargs(args),
-    )
-    return _solve_result(
-        args,
-        "qptas-dispersion",
-        res.value,
-        p=args.p,
-        selection=list(res.selection),
-        origin=res.origin,
-        diagnostics=res.diagnostics,
-    )
-
-
-def _cmd_solve_diversification(args) -> str:
-    inst = _load_as(args.infile, MetricInstance, "metric")
-    bonus = _load_bonus(args.bonus)
-    dinst = DiversificationInstance(inst, bonus, args.p)
-    res = diversify(
-        dinst,
-        args.epsilon,
-        RngState(args.seed),
-        **_ball_kwargs(args),
-    )
-    return _solve_result(
-        args,
-        "diversify",
-        res.value,
-        p=args.p,
-        disp_value=res.disp_value,
-        f_value=res.f_value,
-        selection=list(res.selection),
-        origin=res.origin,
-        diagnostics=res.diagnostics,
-    )
-
-
-def _cmd_solve_dks(args) -> str:
-    inst = _load_as(args.infile, DksInstance, "dks")
-    bonus = _load_bonus(args.bonus) if args.bonus else None
-    params = SubDksParams(
-        gamma=args.epsilon,
-        s=args.s,
-        t=args.t,
-        enum_cap=args.enum_cap,
-        mode=args.mode,
-        exact_budget=args.exact_budget,
-    )
-    res = submodular_dks(inst, bonus, params, RngState(args.seed))
-    return _solve_result(
-        args,
-        "submodular-dks" if bonus is not None else "dks-additive",
-        res.value,
-        h_value=res.h_value,
-        den_value=res.den_value,
-        nodes=list(res.nodes),
-        diagnostics=res.diagnostics,
-    )
+    fields = dict(vars(res))
+    if "ranking" in fields:
+        fields["order"] = list(fields.pop("ranking").order)
+    if bundle.p is not None:
+        fields["p"] = bundle.p
+    return _solve_result(args, algorithm, fields.pop("value"), **fields)
 
 
 def _cmd_oracle(args) -> str:
     obj = load_instance(args.infile)
+    if args.p is not None and not isinstance(obj, MetricInstance):
+        raise UsageError("--p needs a metric instance")
+    if args.bonus and not isinstance(obj, (MetricInstance, DksInstance)):
+        raise UsageError("--bonus needs a metric or dks instance")
     bonus = _load_bonus(args.bonus) if args.bonus else None
     if args.guard < 0:
         raise InstanceError("guard must be non-negative")
@@ -397,6 +302,8 @@ def _cmd_oracle(args) -> str:
 
 
 def _cmd_check(args):
+    if args.bonus and args.selection is None:
+        raise UsageError("--bonus needs --selection")
     obj = load_instance(args.infile)
     if isinstance(obj, MetricInstance):
         report = validate_metric(obj)
@@ -444,10 +351,10 @@ def main(argv=None) -> int:
     handlers = {
         "gen": _cmd_gen,
         "convert": _cmd_convert,
-        "solve-dcg": _cmd_solve_dcg,
-        "solve-dispersion": _cmd_solve_dispersion,
-        "solve-diversification": _cmd_solve_diversification,
-        "solve-dks": _cmd_solve_dks,
+        "solve-dcg": _cmd_solve,
+        "solve-dispersion": _cmd_solve,
+        "solve-diversification": _cmd_solve,
+        "solve-dks": _cmd_solve,
         "oracle": _cmd_oracle,
         "check": _cmd_check,
         "bench": _cmd_bench,

@@ -45,12 +45,29 @@ class GuardExceeded(RuntimeError):
 BRUTE_GUARD = 1_000_000  # default oracle guard; 9! < BRUTE_GUARD < 10!
 
 
+_PRINTABLE = 10**18  # larger counts print as "over 10^18"; str() fails past 4300 digits
+
+
+def _capped_comb(n: int, k: int, guard: int) -> int:
+    """C(n, k) for 0 <= k <= n, or, once the running product exceeds
+    max(guard, 10^18), that product: a lower bound that refuses just the
+    same, reached without the big-integer work of the exact count."""
+    k = min(k, n - k)
+    cap = max(guard, _PRINTABLE)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n - k + i) // i  # C(n - k + i, i), rising with i
+        if count > cap:
+            break
+    return count
+
+
 def _guarded_argmax(candidates: Iterable, count, guard: int, objective: Callable, unit: str):
     """The first of the ``count`` candidates with the strictly largest
     ``objective``, and that value as a float.  Raises GuardExceeded, before
     scoring any candidate, when ``count`` exceeds ``guard``."""
     if count > guard:
-        many = count if count < 10**18 else "over 10^18"  # str() fails past 4300 digits
+        many = count if count < _PRINTABLE else "over 10^18"
         raise GuardExceeded(f"brute force refuses {many} {unit} (guard {guard})")
     best, best_val = None, -math.inf
     for cand in candidates:

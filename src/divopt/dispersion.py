@@ -27,6 +27,7 @@ from .core import (
     disp,
     disp_cross,
     dive,
+    _capped_comb,
     _guarded_argmax,
     validate_metric,
 )
@@ -336,5 +337,5 @@ def _brute_force(inst: MetricInstance, p: int, guard: int, objective):
     """Lex-first maximizer of ``objective`` over the p-subsets: (selection, value)."""
     if not 0 <= p <= inst.n:
         raise InstanceError("need 0 <= p <= n")
-    count = math.comb(inst.n, p)
+    count = _capped_comb(inst.n, p, guard)
     return _guarded_argmax(combinations(range(inst.n), p), count, guard, objective, "subsets")

@@ -35,6 +35,7 @@ from .core import (
     InstanceError,
     RngState,
     SubmodularSpec,
+    _capped_comb,
     _guarded_argmax,
     as_value_oracle,
 )
@@ -502,4 +503,5 @@ def brute_force_subdks(inst: DksInstance, h=None, guard: int = BRUTE_GUARD):
     Vp = sorted(set(range(inst.n)) - set(I))
     teams = (tuple(sorted(set(I) | set(combo))) for combo in combinations(Vp, kp))
     objective = lambda T: float(horacle(frozenset(T))) + _den_or_zero(T, inst)
-    return _guarded_argmax(teams, math.comb(len(Vp), kp), guard, objective, "candidate teams")
+    count = _capped_comb(len(Vp), kp, guard)
+    return _guarded_argmax(teams, count, guard, objective, "candidate teams")

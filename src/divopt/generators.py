@@ -20,6 +20,7 @@ from .core import (
     RngState,
     SetSystemInstance,
     SubmodularSpec,
+    _capped_comb,
     _guarded_argmax,
 )
 
@@ -205,7 +206,8 @@ def max_coverage_value(cov: CoverageInstance, guard: int = BRUTE_GUARD) -> float
     """Brute-force Cov value: best union size over k-subsets of the sets."""
     m, k = len(cov.sets), cov.k
     covered = lambda combo: len(frozenset().union(*(cov.sets[j] for j in combo)))
-    return _guarded_argmax(combinations(range(m), k), math.comb(m, k), guard, covered, "subsets")[1]
+    count = _capped_comb(m, k, guard)
+    return _guarded_argmax(combinations(range(m), k), count, guard, covered, "subsets")[1]
 
 
 def gen_setsystem(n: int, m: int, kmax: int, seed: int) -> SetSystemInstance:

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface (direct main() calls)."""
 
+import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import divopt
-from divopt import cli
+from divopt import bench, cli
 from divopt.bench import CSV_HEADER
 from divopt.cli import main
 from divopt.core import DksInstance, MetricInstance, SetSystemInstance
@@ -533,7 +535,7 @@ class TestOracleAndCheck:
 
         ss = gen_file(tmp_path, capsys, "ss.json",
                       "gen", "setsystem", "--n", "5", "--m", "3", "--seed", "4")
-        monkeypatch.setattr(cli, "ptas_dcg", exhausted)
+        monkeypatch.setattr(bench, "ptas_dcg", exhausted)
         code, out, err = run(capsys, "solve-dcg", "--in", str(ss), "--epsilon", "0.3")
         assert code == 3
         assert out == ""
@@ -642,6 +644,26 @@ class TestOracleAndCheck:
         assert code == 1
         assert "metric" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--in", "ss.json", "--p", "3"], "--p needs a metric instance"),
+        (["oracle", "--in", "ss.json", "--bonus", "f.json"], "--bonus needs a metric or dks"),
+        (["oracle", "--in", "cov.json", "--bonus", "f.json"], "--bonus needs a metric or dks"),
+        (["oracle", "--in", "d.json", "--p", "2"], "--p needs a metric instance"),
+        (["check", "--in", "ss.json", "--bonus", "f.json"], "--bonus needs --selection"),
+    ], ids=["oracle-setsystem-p", "oracle-setsystem-bonus", "oracle-maxcov-bonus",
+            "oracle-dks-p", "check-bonus-without-selection"])
+    def test_flag_the_file_kind_cannot_use_is_exit_1(self, tmp_path, capsys, argv, message):
+        for name, gen in [("ss.json", ["setsystem", "--n", "4", "--m", "3"]),
+                          ("cov.json", ["coverage", "--universe", "6", "--k", "2"]),
+                          ("d.json", ["random-dks", "--n", "6", "--k", "3"]),
+                          ("f.json", ["submodular", "--n", "6"])]:
+            gen_file(tmp_path, capsys, name, "gen", *gen)
+        code, out, err = run(capsys, *[str(tmp_path / a) if a.endswith(".json") else a
+                                       for a in argv])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestBenchCommand:
     def test_bench_csv_and_json(self, tmp_path, capsys):
@@ -693,3 +715,101 @@ class TestBenchCommand:
         code, _, err = run(capsys, "bench", "--spec", str(spec))
         assert code == 2
         assert "invalid" in err
+
+    def test_bench_json_records_carry_solver_diagnostics(self, tmp_path, capsys):
+        m = gen_file(tmp_path, capsys, "m.json", "gen", "euclidean", "--n", "7", "--seed", "10")
+        spec = tmp_path / "bench.json"
+        spec.write_text(json.dumps({
+            "instances": [{"id": "m", "path": "m.json", "p": 3}],
+            "algorithms": [{"name": "qptas-dispersion", "epsilon": 0.5,
+                            "params": {"inner_mode": "greedy"}},
+                           {"name": "greedy-dispersion"}],
+            "seeds": [4],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--spec", str(spec))
+        assert code == 0, err
+        greedy, solver = json.loads(out)["records"]  # sorted by algorithm
+        assert greedy["diagnostics"] is None
+        code, solved, err = run(capsys, "solve-dispersion", "--in", str(m), "--p", "3",
+                                "--epsilon", "0.5", "--inner", "scheme", "--seed", "4")
+        assert code == 0, err
+        assert solver["diagnostics"] == json.loads(solved)["diagnostics"]
+        assert solver["diagnostics"]["inner_mode"] == "greedy"
+
+
+# solve-* command of each table algorithm, and the files and flags it needs
+COMMANDS = {
+    "ptas-dcg": ("solve-dcg", []),
+    "qptas-dispersion": ("solve-dispersion", ["--p", "3"]),
+    "diversify": ("solve-diversification", ["--p", "3", "--bonus", "f.json"]),
+    "submodular-dks": ("solve-dks", ["--bonus", "f.json"]),
+    "dks-additive": ("solve-dks", []),
+}
+OPTIONS = [pytest.param(name, opt, id=f"{name}-{opt.key}")
+           for name, solver in bench.SOLVERS.items() for opt in solver.options]
+# a value each option with a None default takes on the files below
+SAMPLES = {"u": 1, "gamma": 0.01, "eta": 0.3, "trials": 3, "inner_gamma": 0.5, "s": 1, "t": 0.5}
+
+
+class TestSolverTable:
+    """Every option of every table algorithm, on both surfaces."""
+
+    def files(self, tmp_path, capsys):
+        gen_file(tmp_path, capsys, "ss.json", "gen", "setsystem", "--n", "4", "--m", "3")
+        gen_file(tmp_path, capsys, "m.json", "gen", "euclidean", "--n", "6")
+        gen_file(tmp_path, capsys, "d.json", "gen", "random-dks", "--n", "6", "--k", "3")
+        gen_file(tmp_path, capsys, "f.json", "gen", "submodular", "--n", "6")
+
+    def spec(self, tmp_path, name, *params):
+        path = "ss.json" if name == "ptas-dcg" else "d.json" if "dks" in name else "m.json"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "instances": [{"id": "x", "path": path, "p": 3, "bonus": "f.json"}],
+            "algorithms": [{"name": name, "epsilon": 0.05, "params": p} for p in params],
+            "seeds": [1],
+        }), encoding="utf-8")
+        return str(spec)
+
+    def test_every_none_default_has_a_sample(self):
+        assert {o.key for _, o in (p.values for p in OPTIONS) if o.default is None} == set(SAMPLES)
+
+    @pytest.mark.parametrize("name, opt", OPTIONS)
+    def test_exactly_one_flag_sets_the_option(self, name, opt):
+        command, extra = COMMANDS[name]
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices[command]._actions if a.dest == opt.key]
+        assert [a.option_strings for a in actions] == [[opt.cli_flag]]
+        head = [command, "--in", "x.json", "--epsilon", "0.5", *extra]
+        for value in opt.choices or [SAMPLES.get(opt.key, opt.default)]:
+            args = parser.parse_args([*head, opt.cli_flag, str(value)])
+            assert getattr(args, opt.key) == value
+        assert getattr(parser.parse_args(head), opt.key) == opt.default
+
+    @pytest.mark.parametrize("name, opt", OPTIONS)
+    def test_bench_runs_each_valid_value(self, tmp_path, capsys, name, opt):
+        self.files(tmp_path, capsys)
+        values = list(opt.choices.values()) if opt.choices else [SAMPLES.get(opt.key, opt.default)]
+        if opt.default is None:
+            values.append(None)
+        params = [{opt.key: value} for value in values]
+        code, out, err = run(capsys, "bench", "--spec", self.spec(tmp_path, name, *params))
+        assert code == 0, err
+        assert len(json.loads(out)["records"]) == len(values)
+
+    @pytest.mark.parametrize("name, opt", OPTIONS)
+    def test_bench_rejects_a_mistyped_value_before_any_run(
+        self, tmp_path, capsys, monkeypatch, name, opt
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        self.files(tmp_path, capsys)
+        monkeypatch.setitem(bench.SOLVERS, name, dataclasses.replace(bench.SOLVERS[name],
+                                                                     call=no_run))
+        for bad in [1 if opt.type is str else "1", True]:
+            spec = self.spec(tmp_path, name, {}, {opt.key: bad})
+            code, out, err = run(capsys, "bench", "--spec", spec)
+            assert code == 2
+            assert out == ""
+            assert f"\"params\" key {opt.key!r} must be" in err

@@ -2,9 +2,11 @@
 
 Small valid instance files are mutated at one place each (a value replaced
 by a random JSON value, a key or item dropped, an item appended) and handed
-to ``check``, ``oracle``, the ``solve-*`` commands and ``bench``.  The exit
-code must be 0, 1, 2 or 3 and no Python traceback may escape.  Fuzzed
-integers stay at most 12, so no mutated size allocates a huge matrix.
+to ``check``, ``oracle``, the ``solve-*`` commands and ``bench``; the
+solvers also get option flags or bench "params" drawn from ``SOLVERS`` with
+fuzzed values.  The exit code must be 0, 1, 2 or 3 and no Python traceback
+may escape.  Fuzzed integers stay at most 12, so no mutated size allocates
+a huge matrix.
 """
 
 import copy
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import divopt
+from divopt.bench import SOLVERS
 from divopt.cli import main
 from divopt.generators import (
     gen_random_dks,
@@ -100,6 +103,25 @@ def instance_file(data, path: Path, natural) -> str:
     return str(path)
 
 
+def option_flags(data, algorithm) -> list:
+    """Up to three of the algorithm's option flags, with fuzzed values (or
+    one of the flag's choices)."""
+    options = data.draw(st.lists(st.sampled_from(SOLVERS[algorithm].options), max_size=3))
+    argv = []
+    for opt in options:
+        value = data.draw(scalars.map(str) | st.sampled_from(list(opt.choices or ["1"])))
+        argv.append(f"{opt.cli_flag}={value}")
+    return argv
+
+
+def option_params(data, algorithm) -> dict:
+    """Up to three "params" keys of the algorithm (of every solver for a
+    baseline, which takes none), with fuzzed values."""
+    solvers = [SOLVERS[algorithm]] if algorithm in SOLVERS else SOLVERS.values()
+    keys = sorted({opt.key for solver in solvers for opt in solver.options})
+    return data.draw(st.dictionaries(st.sampled_from(keys), scalars, max_size=3))
+
+
 def fuzzed_argv(data, tmp: Path) -> list:
     command = data.draw(st.sampled_from(
         ["check", "oracle", "solve-dks", "solve-dispersion", "solve-diversification",
@@ -118,18 +140,25 @@ def fuzzed_argv(data, tmp: Path) -> list:
             lambda ids: ",".join(map(str, ids))) | st.sampled_from(["a,b", ",", "1,,2"]))
         return ["check", "--in", x, f"--selection={sel}", *bonus]
     if command == "oracle":
-        return ["oracle", "--in", x, "--p", p, *bonus]
+        # --p is for metric files only, so it is drawn for half the files
+        return ["oracle", "--in", x, *(["--p", p] if data.draw(st.booleans()) else []), *bonus]
     if command == "solve-dks":
-        return ["solve-dks", "--in", x, "--epsilon", eps, *bonus]
+        return ["solve-dks", "--in", x, "--epsilon", eps, *bonus,
+                *option_flags(data, "submodular-dks")]
     if command == "solve-dispersion":
-        return ["solve-dispersion", "--in", x, "--p", p, "--epsilon", eps]
+        return ["solve-dispersion", "--in", x, "--p", p, "--epsilon", eps,
+                *option_flags(data, "qptas-dispersion")]
     if command == "solve-diversification":
-        return ["solve-diversification", "--in", x, "--bonus", b, "--p", p, "--epsilon", eps]
+        return ["solve-diversification", "--in", x, "--bonus", b, "--p", p, "--epsilon", eps,
+                *option_flags(data, "diversify")]
     if command == "solve-dcg":
-        return ["solve-dcg", "--in", x, "--epsilon", eps, "--trials", "4"]
+        return ["solve-dcg", "--in", x, "--epsilon", eps, "--trials", "4",
+                *option_flags(data, "ptas-dcg")]
     spec = {
         "instances": [{"id": "a", "path": "x.json", "p": 3, "bonus": "b.json"}],
-        "algorithms": [{"name": algorithm, "epsilon": 0.5, "params": {}}],
+        "algorithms": [
+            {"name": algorithm, "epsilon": 0.5, "params": option_params(data, algorithm)}
+        ],
         "seeds": [0],
         "oracle": True,
     }

@@ -1,6 +1,7 @@
 """Core types: RNG determinism, metric validation, objective helpers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from divopt import (
     validate_metric,
 )
 from divopt.core import as_value_oracle
+from divopt.generators import CoverageInstance, max_coverage_value
 
 
 def test_derive_seed_deterministic_and_key_sensitive():
@@ -246,6 +248,25 @@ def test_guarded_argmax_refuses_before_scoring_and_keeps_the_first_maximum():
     assert scored == []
     assert core._guarded_argmax("abcd", 4, 4, objective, "letters") == ("b", 3.0)
     assert scored == list("abcd")
+
+
+def test_capped_comb_is_exact_up_to_the_cap_and_refuses_just_the_same_past_it():
+    for n in range(40):
+        for k in range(n + 1):
+            assert core._capped_comb(n, k, 0) == math.comb(n, k)
+    assert core._capped_comb(100, 50, 10**40) == math.comb(100, 50)
+    for guard in (0, 10**25):
+        assert max(guard, 10**18) < core._capped_comb(100, 50, guard) < math.comb(100, 50)
+
+
+def test_oversized_maxcov_oracle_refuses_in_under_a_second():
+    # C(10^6, 5 * 10^5) alone took about 9 s of big-integer work before the
+    # guard compared it.
+    cov = CoverageInstance(1, ((0,),) * 1_000_000, 500_000)
+    t0 = time.perf_counter()
+    with pytest.raises(core.GuardExceeded, match=r"refuses over 10\^18 subsets"):
+        max_coverage_value(cov)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_metric_instance_shape_check():

@@ -10,7 +10,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,19 +62,34 @@ def _capped_comb(n: int, k: int, guard: int) -> int:
     return count
 
 
-def _guarded_argmax(candidates: Iterable, count, guard: int, objective: Callable, unit: str):
-    """The first of the ``count`` candidates with the strictly largest
-    ``objective``, and that value as a float.  Raises GuardExceeded, before
-    scoring any candidate, when ``count`` exceeds ``guard``."""
+def _guarded_argmax(blocks: Iterable, count, guard: int, score: Callable, unit: str):
+    """The first of the ``count`` candidates with the strictly largest value,
+    and that value as a float.  ``blocks`` yields the candidates in blocks of
+    a bounded size (lists, or arrays of rows) and ``score`` maps a block to
+    its values.  Raises GuardExceeded, before drawing any block, when
+    ``count`` exceeds ``guard``."""
     if count > guard:
         many = count if count < _PRINTABLE else "over 10^18"
         raise GuardExceeded(f"brute force refuses {many} {unit} (guard {guard})")
     best, best_val = None, -math.inf
-    for cand in candidates:
-        val = objective(cand)
-        if best is None or val > best_val:
-            best, best_val = cand, val
+    for block in blocks:
+        vals = score(block)
+        i = int(np.argmax(vals))  # the block's first maximum
+        if best is None or vals[i] > best_val:
+            best, best_val = block[i], vals[i]
     return best, float(best_val)
+
+
+def _blocks(candidates: Iterable, size: int = 4096):
+    """``candidates`` as lists of up to ``size``, for _guarded_argmax; lazy,
+    so nothing is drawn before the guard."""
+    it = iter(candidates)
+    return iter(lambda: list(islice(it, size)), [])
+
+
+def _each(objective: Callable) -> Callable:
+    """_guarded_argmax's ``score`` for _blocks: ``objective`` per candidate."""
+    return lambda block: [objective(c) for c in block]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .core import (
     dive,
     _capped_comb,
     _guarded_argmax,
+    _each,
+    _blocks,
     validate_metric,
 )
 from . import dks
@@ -338,4 +340,5 @@ def _brute_force(inst: MetricInstance, p: int, guard: int, objective):
     if not 0 <= p <= inst.n:
         raise InstanceError("need 0 <= p <= n")
     count = _capped_comb(inst.n, p, guard)
-    return _guarded_argmax(combinations(range(inst.n), p), count, guard, objective, "subsets")
+    blocks = _blocks(combinations(range(inst.n), p))
+    return _guarded_argmax(blocks, count, guard, _each(objective), "subsets")

@@ -37,6 +37,8 @@ from .core import (
     SubmodularSpec,
     _capped_comb,
     _guarded_argmax,
+    _each,
+    _blocks,
     as_value_oracle,
 )
 
@@ -504,4 +506,4 @@ def brute_force_subdks(inst: DksInstance, h=None, guard: int = BRUTE_GUARD):
     teams = (tuple(sorted(set(I) | set(combo))) for combo in combinations(Vp, kp))
     objective = lambda T: float(horacle(frozenset(T))) + _den_or_zero(T, inst)
     count = _capped_comb(len(Vp), kp, guard)
-    return _guarded_argmax(teams, count, guard, objective, "candidate teams")
+    return _guarded_argmax(_blocks(teams), count, guard, _each(objective), "candidate teams")

@@ -22,6 +22,8 @@ from .core import (
     SubmodularSpec,
     _capped_comb,
     _guarded_argmax,
+    _each,
+    _blocks,
 )
 
 __all__ = [
@@ -135,7 +137,7 @@ class CoverageInstance:
         norm = []
         for idx, s in enumerate(self.sets):
             s = frozenset(int(i) for i in s)
-            if not s <= set(range(self.universe)):
+            if s and not (0 <= min(s) and max(s) < self.universe):
                 raise InstanceError(f"sets[{idx}] outside universe range")
             norm.append(s)
         self.sets = tuple(norm)
@@ -207,7 +209,8 @@ def max_coverage_value(cov: CoverageInstance, guard: int = BRUTE_GUARD) -> float
     m, k = len(cov.sets), cov.k
     covered = lambda combo: len(frozenset().union(*(cov.sets[j] for j in combo)))
     count = _capped_comb(m, k, guard)
-    return _guarded_argmax(combinations(range(m), k), count, guard, covered, "subsets")[1]
+    blocks = _blocks(combinations(range(m), k))
+    return _guarded_argmax(blocks, count, guard, _each(covered), "subsets")[1]
 
 
 def gen_setsystem(n: int, m: int, kmax: int, seed: int) -> SetSystemInstance:

@@ -10,10 +10,9 @@ knapsack-cover family that is separated on demand.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -365,6 +364,13 @@ class RankSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _value_tables(inst: SetSystemInstance, f: GainFunction):
+    """_values' ``sets`` (sorted member arrays with their thresholds) and
+    ``gains`` (f(1), ..., f(n)) for ``inst``."""
+    sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
+    return sets, np.array([f(t) for t in range(1, inst.n + 1)])
+
+
 def _values(
     orders: np.ndarray, sets: list, gains: np.ndarray, block: int = VALUES_BLOCK
 ) -> np.ndarray:
@@ -474,8 +480,7 @@ def ptas_dcg(
     best_order: tuple | None = None
     best_value = -math.inf
     lp_bound = -math.inf
-    sets = [(np.array(sorted(members)), k) for members, k in inst.sets]
-    gains = np.array([f(t) for t in range(1, n + 1)])
+    sets, gains = _value_tables(inst, f)
     res_gain = f.shifted(u_eff)
     n_heads = math.factorial(u_eff)
     for sidx, chosen in enumerate(combinations(range(n), u_eff)):
@@ -524,11 +529,24 @@ def ptas_dcg(
     return RankSolution(ranking, best_value, float(lp_bound), diagnostics)
 
 
+def _order_blocks(n: int, count: int):
+    """The ``count`` = n! orders of range(n) in ``permutations`` order, as
+    int arrays of VALUES_BLOCK rows."""
+    orders = permutations(range(n))
+    for lo in range(0, count, VALUES_BLOCK):
+        rows = min(VALUES_BLOCK, count - lo)
+        flat = chain.from_iterable(islice(orders, rows))
+        yield np.fromiter(flat, dtype=int, count=rows * n).reshape(rows, n)
+
+
 def brute_force_dcg(
     inst: SetSystemInstance, f: GainFunction = DCG_STANDARD, guard: int = BRUTE_GUARD
 ):
-    """Exact optimum by permutation enumeration; refuses more than ``guard`` orders."""
+    """Exact optimum by permutation enumeration; refuses more than ``guard``
+    orders.  Orders are scored a block at a time by _values, whose sums are
+    dcg_value's, and ties go to the lexicographically smallest order."""
     count = math.factorial(inst.n) if inst.n <= 1000 else math.inf  # n! is slow past that
-    objective = functools.partial(dcg_value, inst=inst, f=f)
-    order, val = _guarded_argmax(permutations(range(inst.n)), count, guard, objective, "orders")
+    sets, gains = _value_tables(inst, f)
+    score = lambda orders: _values(orders, sets, gains)
+    order, val = _guarded_argmax(_order_blocks(inst.n, count), count, guard, score, "orders")
     return Ranking.from_order(order, inst), val

@@ -237,17 +237,51 @@ def test_dks_instance_validation():
 def test_guarded_argmax_refuses_before_scoring_and_keeps_the_first_maximum():
     scored = []
 
-    def objective(c):
-        scored.append(c)
-        return {"a": 1.0, "b": 3.0, "c": 3.0, "d": 2.0}[c]
+    def score(block):
+        scored.extend(block)
+        return [{"a": 1.0, "b": 3.0, "c": 3.0, "d": 2.0}[c] for c in block]
 
     with pytest.raises(core.GuardExceeded, match=r"refuses 4 letters \(guard 3\)"):
-        core._guarded_argmax("abcd", 4, 3, objective, "letters")
+        core._guarded_argmax(iter(["ab", "cd"]), 4, 3, score, "letters")
     with pytest.raises(core.GuardExceeded, match=r"refuses over 10\^18 letters"):
-        core._guarded_argmax("abcd", 10**5000, 3, objective, "letters")
+        core._guarded_argmax(iter(["ab", "cd"]), 10**5000, 3, score, "letters")
     assert scored == []
-    assert core._guarded_argmax("abcd", 4, 4, objective, "letters") == ("b", 3.0)
+    assert core._guarded_argmax(iter(["ab", "cd"]), 4, 4, score, "letters") == ("b", 3.0)
     assert scored == list("abcd")
+
+
+def test_guarded_argmax_keeps_the_first_maximum_when_the_tie_spans_blocks():
+    # Rows 0..8 in blocks of three; the maximum 5.0 first appears as the
+    # last row of the first block and again in both later blocks.
+    vals = np.array([1.0, 2.0, 5.0, 5.0, 0.0, 5.0, 4.0, 5.0, 5.0])
+    rows = np.arange(9)
+    blocks = (rows[lo : lo + 3] for lo in range(0, 9, 3))
+    assert core._guarded_argmax(blocks, 9, 9, lambda b: vals[b], "rows") == (2, 5.0)
+    # A later strictly larger value replaces the incumbent; its own tie does not.
+    vals[[4, 7]] = 6.0
+    blocks = (rows[lo : lo + 3] for lo in range(0, 9, 3))
+    assert core._guarded_argmax(blocks, 9, 9, lambda b: vals[b], "rows") == (4, 6.0)
+
+
+def test_blocks_are_drawn_lazily_and_scored_per_candidate():
+    drawn, scored = [], []
+
+    def letters():
+        for c in "abcde":
+            drawn.append(c)
+            yield c
+
+    def objective(c):
+        scored.append(c)
+        return {"a": 1.0, "b": 3.0, "c": 2.0, "d": 3.0, "e": 0.5}[c]
+
+    with pytest.raises(core.GuardExceeded):
+        core._guarded_argmax(core._blocks(letters(), 2), 5, 4, core._each(objective), "letters")
+    assert drawn == []
+    blocks = core._blocks(letters(), 2)
+    assert core._guarded_argmax(blocks, 5, 5, core._each(objective), "letters") == ("b", 3.0)
+    assert drawn == scored == list("abcde")
+    assert list(core._blocks("abcde", 2)) == [["a", "b"], ["c", "d"], ["e"]]
 
 
 def test_capped_comb_is_exact_up_to_the_cap_and_refuses_just_the_same_past_it():

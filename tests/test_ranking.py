@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lp_reference import reference_cut_loop
 from divopt.ranking import (
     DCG_STANDARD,
     _round_orders,
+    _value_tables,
     _values,
     DcgLpLayout,
     GainFunction,
@@ -405,6 +407,89 @@ def test_values_in_blocks_match_one_block():
             got = _values(part, sets, gains, block=block)
             assert got.tobytes() == whole[: len(part)].tobytes()
             assert got.argmax() == whole[: len(part)].argmax()
+
+
+def per_order_brute_force(inst: SetSystemInstance, f: GainFunction):
+    """The reference oracle: each order scored alone by dcg_value, and the
+    lexicographically first strict maximum kept."""
+    best, best_val = None, -math.inf
+    for order in itertools.permutations(range(inst.n)):
+        val = dcg_value(order, inst, f)
+        if best is None or val > best_val:
+            best, best_val = order, val
+    return best, best_val
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(0, 6),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    f=_GAINS,
+)
+@example(n=7, m=6, kmax=3, seed=0, f=DCG_STANDARD)
+@example(n=6, m=6, kmax=3, seed=1, f=GainFunction("dcg", shift=2))
+def test_brute_force_dcg_matches_per_order_reference(n, m, kmax, seed, f):
+    # Same order, and the same bits of value: _values adds gains set by set
+    # from 0.0, as dcg_value does.
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    ranking, val = brute_force_dcg(inst, f)
+    order, want = per_order_brute_force(inst, f)
+    assert ranking.order == order
+    assert val.hex() == want.hex()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(0, 6),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    value=st.sampled_from([0.25, 0.5, 1.0]),
+)
+@example(n=7, m=4, kmax=2, seed=3, value=0.5)  # 7! orders: the tie spans two blocks
+def test_constant_gain_ties_every_order_and_keeps_the_identity(n, m, kmax, seed, value):
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    f = GainFunction("constant", value=value)
+    ranking, val = brute_force_dcg(inst, f)
+    assert ranking.order == tuple(range(n))
+    assert val.hex() == dcg_value(tuple(range(n)), inst, f).hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(0, 6),
+    kmax=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    f=_GAINS,
+)
+def test_values_equal_dcg_value_on_every_order(n, m, kmax, seed, f):
+    inst = gen_setsystem(n, m, kmax, seed=seed)
+    sets, gains = _value_tables(inst, f)
+    orders = list(itertools.permutations(range(n)))
+    got = _values(np.array(orders), sets, gains)
+    want = np.array([dcg_value(order, inst, f) for order in orders])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_brute_force_dcg_on_the_empty_ground_set():
+    ranking, val = brute_force_dcg(SetSystemInstance(0, ()))
+    assert ranking.order == () and val == 0.0
+
+
+def test_brute_force_dcg_scores_nine_elements_in_bounded_memory():
+    # 9! = 362,880 orders: held at once as int64 rows they would take 26 MB.
+    inst = gen_setsystem(9, 6, 3, seed=1)
+    tracemalloc.start()
+    try:
+        ranking, val = brute_force_dcg(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert val == dcg_value(ranking.order, inst, DCG_STANDARD)
 
 
 class TestRounding:

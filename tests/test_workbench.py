@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import pkgutil
+import time
 from io import StringIO
 from itertools import chain, combinations
 
@@ -201,6 +202,23 @@ class TestCoverage:
                 k=1,
                 regular=True,
             )
+
+    def test_items_are_checked_against_both_ends_of_the_universe(self):
+        with pytest.raises(InstanceError, match=r"sets\[1\] outside universe range"):
+            CoverageInstance(universe=3, sets=(frozenset({0}), frozenset({-1, 2})), k=1)
+        with pytest.raises(InstanceError, match=r"sets\[0\] outside universe range"):
+            CoverageInstance(universe=3, sets=(frozenset({0, 3}),), k=1)
+        cov = CoverageInstance(universe=3, sets=(frozenset({0, 2}), frozenset()), k=1)
+        assert cov.sets == (frozenset({0, 2}), frozenset())
+
+    def test_many_sets_over_a_large_universe_build_fast(self):
+        # Checking each set against a universe-sized set cost
+        # O(sets x universe): seconds for this input.
+        sets = tuple(frozenset({i * 97 % 200_000}) for i in range(2_000))
+        t0 = time.perf_counter()
+        cov = CoverageInstance(universe=200_000, sets=sets, k=1)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(cov.sets) == 2_000
 
     def test_coverage_to_dcg_shape(self):
         cov = gen_regular_coverage(8, 2, seed=9, extra_sets=1)
